@@ -20,11 +20,12 @@ import (
 // Verdicts are identical to incrementalATPG by construction: the same
 // coneQuery encoding feeds both engines.
 type sessionATPG struct {
-	c    *circuit.Circuit
-	enc  *circuit.Encoding
-	m    *session.Manager
-	ss   *session.Session
-	opts Options
+	c     *circuit.Circuit
+	enc   *circuit.Encoding
+	cones *coneEncoder
+	m     *session.Manager
+	ss    *session.Session
+	opts  Options
 	// numVars tracks the session solver's variable space. Every cone
 	// query allocates fresh variables above it and mentions all of them,
 	// so the resident solver's growth stays in lockstep.
@@ -41,7 +42,7 @@ func newSessionATPG(m *session.Manager, c *circuit.Circuit, opts Options) (*sess
 	if err != nil {
 		return nil, fmt.Errorf("atpg: open session: %w", err)
 	}
-	return &sessionATPG{c: c, enc: enc, m: m, ss: ss, opts: opts, numVars: enc.F.NumVars()}, nil
+	return &sessionATPG{c: c, enc: enc, cones: newConeEncoder(c, enc), m: m, ss: ss, opts: opts, numVars: enc.F.NumVars()}, nil
 }
 
 // Close evicts the engine's session from its manager.
@@ -49,7 +50,7 @@ func (sa *sessionATPG) Close() { sa.m.Delete(sa.ss.ID) }
 
 func (sa *sessionATPG) testFault(ctx context.Context, flt Fault) FaultResult {
 	fr := FaultResult{Fault: flt}
-	q := buildConeQuery(sa.c, sa.enc, flt, sa.numVars)
+	q := sa.cones.build(flt, sa.numVars)
 	if q == nil {
 		fr.Status = Redundant
 		return fr

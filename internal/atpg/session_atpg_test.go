@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/circuit"
@@ -19,6 +20,13 @@ func TestSessionATPGParity(t *testing.T) {
 		"c17":  circuit.C17(),
 		"dag":  circuit.RandomDAG(8, 40, 3, 7),
 		"dag2": circuit.RandomDAG(6, 25, 2, 11),
+	}
+	if !testing.Short() {
+		// The benchmark's fault lists: long enough that the shared
+		// solver sweeps and retires hundreds of times per list.
+		circuits["alu8"] = circuit.ALU(8)
+		circuits["mult5"] = circuit.ArrayMultiplier(5)
+		circuits["rca32"] = circuit.RippleCarryAdder(32)
 	}
 	for name, c := range circuits {
 		t.Run(name, func(t *testing.T) {
@@ -67,6 +75,11 @@ func TestSessionATPGParity(t *testing.T) {
 				}
 				if Detects(c, fr.Fault, words) == 0 {
 					t.Errorf("fault %s: session pattern does not detect it", fr.Fault)
+				}
+			}
+			for _, fr := range inProc.Results {
+				if want := verdict[fr.Fault.String()]; want != fr.Status {
+					t.Errorf("fault %s: incremental %s, one-shot %s", fr.Fault, fr.Status, want)
 				}
 			}
 			if viaSession.Conflicts < 0 || viaSession.SATCalls == 0 {
@@ -129,5 +142,72 @@ func TestFaultsContextCancel(t *testing.T) {
 	}
 	if rep.Aborted != rep.Total {
 		t.Fatalf("cancelled session run aborted %d of %d", rep.Aborted, rep.Total)
+	}
+}
+
+// TestIncrementalCloneMidFaultList forks the shared solver halfway down
+// a fault list — after hundreds of level-0 sweeps — and runs the rest of
+// the list on the original and on two forks of the same checkpoint. The
+// retired-variable flags and the sweep trigger travel with the image:
+// the forks agree with the original on every verdict, with each other
+// on every search count, and a checkpoint of a fork is as large as the
+// one it came from. Run under -race (the forks solve concurrently).
+func TestIncrementalCloneMidFaultList(t *testing.T) {
+	c := circuit.RippleCarryAdder(16)
+	faults := Collapse(c, FaultUniverse(c))
+	opts := Options{MaxConflicts: 20000}
+	orig := newIncremental(c, opts)
+	half := len(faults) / 2
+	for _, flt := range faults[:half] {
+		orig.testFault(context.Background(), flt)
+	}
+	if orig.s.Stats.Sweeps == 0 || orig.s.Stats.RetiredVars == 0 {
+		t.Fatalf("no sweep in the first half of the list: %+v", orig.s.Stats)
+	}
+	ck, err := orig.s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := make([]*incrementalATPG, 2)
+	for i := range forks {
+		s := ck.Restore()
+		if s.NumLiveVars() != orig.s.NumLiveVars() || s.NumClauses() != orig.s.NumClauses() {
+			t.Fatalf("fork holds %d live vars / %d clauses, original %d / %d",
+				s.NumLiveVars(), s.NumClauses(), orig.s.NumLiveVars(), orig.s.NumClauses())
+		}
+		forks[i] = &incrementalATPG{c: c, enc: orig.enc, cones: newConeEncoder(c, orig.enc), s: s, opts: opts, prev: s.Stats}
+	}
+	if ck2, err := forks[0].s.Checkpoint(); err != nil || ck2.Bytes() != ck.Bytes() {
+		t.Fatalf("image of a fork: %d bytes (err %v), original image %d", ck2.Bytes(), err, ck.Bytes())
+	}
+
+	rest := faults[half:]
+	results := make([][]FaultResult, len(forks))
+	var wg sync.WaitGroup
+	for i, f := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, flt := range rest {
+				results[i] = append(results[i], f.testFault(context.Background(), flt))
+			}
+		}()
+	}
+	var want []FaultResult
+	for _, flt := range rest {
+		want = append(want, orig.testFault(context.Background(), flt))
+	}
+	wg.Wait()
+	for j, flt := range rest {
+		a, b := results[0][j], results[1][j]
+		if a.Status != want[j].Status || b.Status != want[j].Status {
+			t.Fatalf("fault %s: forks %s / %s, original %s", flt, a.Status, b.Status, want[j].Status)
+		}
+		if *a.satStats != *b.satStats {
+			t.Fatalf("fault %s: forks of one image diverged: %+v vs %+v", flt, *a.satStats, *b.satStats)
+		}
+	}
+	if a, b := forks[0].s.Stats, forks[1].s.Stats; a != b {
+		t.Fatalf("fork totals differ:\n%+v\n%+v", a, b)
 	}
 }

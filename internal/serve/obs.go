@@ -48,6 +48,9 @@ func (s *Scheduler) registerMetrics() {
 		{"satserved_session_queries_total", "finished session queries", func(st *Stats) int64 { return st.Sessions.Queries }},
 		{"satserved_session_evictions_total", "checkpoint-to-evict demotions", func(st *Stats) int64 { return st.Sessions.Evictions }},
 		{"satserved_session_revivals_total", "checkpoint restores", func(st *Stats) int64 { return st.Sessions.Revivals }},
+		{"satserved_session_sweeps_total", "level-0 sweeps run by session solvers between queries", func(st *Stats) int64 { return st.Sessions.Sweeps }},
+		{"satserved_session_swept_clauses_total", "clauses session solvers dropped as satisfied at top level", func(st *Stats) int64 { return st.Sessions.SweptClauses }},
+		{"satserved_session_retired_vars_total", "variables session solvers retired from branching", func(st *Stats) int64 { return st.Sessions.RetiredVars }},
 	}
 	gauges := []gaugeDef{
 		{"satserved_queue_depth", "jobs waiting in the backlog", func(st *Stats) float64 { return float64(st.QueueDepth) }},
@@ -67,6 +70,8 @@ func (s *Scheduler) registerMetrics() {
 		{"satserved_sessions_checkpointed", "sessions demoted to checkpoint images", func(st *Stats) float64 { return float64(st.Sessions.Checkpointed) }},
 		{"satserved_session_checkpoint_bytes", "total checkpoint image bytes", func(st *Stats) float64 { return float64(st.Sessions.CheckpointBytes) }},
 		{"satserved_session_busy", "session queries currently executing", func(st *Stats) float64 { return float64(st.SessionBusy) }},
+		{"satserved_session_live_clauses", "problem clauses live across session solvers", func(st *Stats) float64 { return float64(st.Sessions.LiveClauses) }},
+		{"satserved_session_live_vars", "open variables across session solvers", func(st *Stats) float64 { return float64(st.Sessions.LiveVars) }},
 	}
 	if s.cfg.Store != nil {
 		counters = append(counters,

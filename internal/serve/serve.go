@@ -894,7 +894,8 @@ func (s *Scheduler) finalize(j *Job, st Status, res *Result, err error) {
 		j.trace.Finish()
 		s.observeJob(j)
 	})
-	j.finish(st, res, err)
+	// Count first: a waiter that Wait released must find its job in the
+	// counters.
 	s.mu.Lock()
 	switch st {
 	case StatusDone:
@@ -904,6 +905,9 @@ func (s *Scheduler) finalize(j *Job, st Status, res *Result, err error) {
 	case StatusCancelled:
 		s.cancelled++
 	}
+	s.mu.Unlock()
+	j.finish(st, res, err)
+	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}

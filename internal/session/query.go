@@ -111,7 +111,7 @@ func (q *Query) finish(res *Result, err error) {
 // from the runner goroutine, which owns the solver while ss.busy holds;
 // the session mutex is never held across the solve.
 func (ss *Session) execute(q *Query) {
-	if q.ctx != nil && q.ctx.Err() != nil {
+	if q.ctx.Err() != nil {
 		q.trace.Finish(obs.A("outcome", "cancelled_before_start"))
 		q.finish(&Result{Status: solver.Unknown, Cancelled: true}, nil)
 		return
@@ -146,19 +146,8 @@ func (ss *Session) execute(q *Query) {
 	// Cancellation: the query's context or the session closing interrupt
 	// the solver; the sticky interrupt is cleared afterwards so the next
 	// query runs unimpeded.
-	qctx := q.ctx
-	if qctx == nil {
-		qctx = context.Background()
-	}
-	qctx, qcancel := context.WithCancel(qctx)
-	go func() {
-		select {
-		case <-ss.quit:
-			qcancel()
-		case <-qctx.Done():
-		}
-	}()
-	stopInterrupt := context.AfterFunc(qctx, s.Interrupt)
+	stopOnClose := context.AfterFunc(ss.ctx, s.Interrupt)
+	stopOnCancel := context.AfterFunc(q.ctx, s.Interrupt)
 
 	detach := q.mon.Attach(0, 0, "session", s)
 	start := time.Now()
@@ -180,11 +169,11 @@ func (ss *Session) execute(q *Query) {
 		res.Status = s.Solve(q.assume...)
 		switch res.Status {
 		case solver.Sat:
-			res.Model = s.Model()
+			res.Model = s.TakeModel()
 		case solver.Unsat:
 			res.Core = s.Core()
 		default:
-			res.Cancelled = qctx.Err() != nil
+			res.Cancelled = ss.ctx.Err() != nil || q.ctx.Err() != nil
 		}
 	}
 	res.Conflicts = s.Stats.Conflicts - preStats.Conflicts
@@ -205,8 +194,8 @@ func (ss *Session) execute(q *Query) {
 		ss.m.obsExec.ObserveEx(time.Since(start).Seconds(), q.ID)
 	}
 
-	stopInterrupt()
-	qcancel()
+	stopOnCancel()
+	stopOnClose()
 	detach("")
 	s.ClearInterrupt()
 	if release != nil {
@@ -217,8 +206,8 @@ func (ss *Session) execute(q *Query) {
 	ss.busy = false
 	ss.lastUsed = time.Now()
 	ss.served++
-	ss.numClauses += len(q.add)
+	ss.numClauses, ss.numVars = s.NumClauses(), s.NumLiveVars()
 	ss.mu.Unlock()
-	ss.m.noteQuery()
+	ss.m.noteQuery(&preStats, &s.Stats)
 	q.finish(res, nil)
 }

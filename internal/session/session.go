@@ -153,6 +153,13 @@ type Stats struct {
 	// Queries counts finished session queries; Evictions counts
 	// checkpoint-to-evict demotions, Revivals checkpoint restores.
 	Queries, Evictions, Revivals int64
+	// LiveClauses / LiveVars sum the resident formulas of the live
+	// sessions as their solvers hold them now: clauses and variables
+	// the level-0 sweep dropped or retired are gone from these.
+	LiveClauses, LiveVars int64
+	// Sweeps, SweptClauses and RetiredVars total the level-0 sweep
+	// work (solver.Stats) of every finished query, lifetime.
+	Sweeps, SweptClauses, RetiredVars int64
 }
 
 // Manager owns the session registry, the resident-solver budget and the
@@ -166,6 +173,7 @@ type Manager struct {
 	sessions map[string]*Session
 
 	opened, deleted, queries, evictions, revivals int64
+	sweeps, sweptClauses, retiredVars             int64
 
 	// obsWait / obsExec are the registered latency histograms (nil when
 	// Config.Obs is nil).
@@ -225,12 +233,13 @@ func (m *Manager) Open(f *cnf.Formula, warm ...solver.WarmVar) (*Session, error)
 		m:          m,
 		state:      StateOpen,
 		s:          s,
-		numClauses: f.NumClauses(),
+		numClauses: s.NumClauses(),
+		numVars:    s.NumLiveVars(),
 		lastUsed:   time.Now(),
 		queue:      make(chan *Query, m.cfg.queueDepth()),
-		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	ss.ctx, ss.cancel = context.WithCancel(context.Background())
 	m.sessions[ss.ID] = ss
 	m.wg.Add(1)
 	m.mu.Unlock()
@@ -271,6 +280,7 @@ func (m *Manager) Stats() Stats {
 	st := Stats{
 		Opened: m.opened, Deleted: m.deleted,
 		Queries: m.queries, Evictions: m.evictions, Revivals: m.revivals,
+		Sweeps: m.sweeps, SweptClauses: m.sweptClauses, RetiredVars: m.retiredVars,
 	}
 	list := make([]*Session, 0, len(m.sessions))
 	for _, ss := range m.sessions {
@@ -287,6 +297,10 @@ func (m *Manager) Stats() Stats {
 			st.Sessions++
 			st.Checkpointed++
 			st.CheckpointBytes += int64(ss.ckpt.Bytes())
+		}
+		if ss.state != StateEvicted {
+			st.LiveClauses += int64(ss.numClauses)
+			st.LiveVars += int64(ss.numVars)
 		}
 		ss.mu.Unlock()
 	}
@@ -389,9 +403,14 @@ func (m *Manager) enforceResident(except *Session) {
 	}
 }
 
-func (m *Manager) noteQuery() {
+// noteQuery counts a finished query and the level-0 sweep work its
+// solve did (the difference of the solver's counters around it).
+func (m *Manager) noteQuery(before, after *solver.Stats) {
 	m.mu.Lock()
 	m.queries++
+	m.sweeps += after.Sweeps - before.Sweeps
+	m.sweptClauses += after.SweptClauses - before.SweptClauses
+	m.retiredVars += after.RetiredVars - before.RetiredVars
 	m.mu.Unlock()
 }
 
@@ -415,20 +434,24 @@ type Session struct {
 
 	m *Manager
 
-	mu         sync.Mutex
-	state      State
-	s          *solver.Solver     // non-nil while open/resident
-	ckpt       *solver.Checkpoint // non-nil while checkpointed
-	busy       bool               // the runner is executing a query
-	lastUsed   time.Time
-	numClauses int
-	served     int64
-	qseq       int64
+	mu       sync.Mutex
+	state    State
+	s        *solver.Solver     // non-nil while open/resident
+	ckpt     *solver.Checkpoint // non-nil while checkpointed
+	busy     bool               // the runner is executing a query
+	lastUsed time.Time
+	// numClauses / numVars are the resident solver's live problem
+	// clauses and open variables as of the last finished query.
+	numClauses, numVars int
+	served              int64
+	qseq                int64
 
-	queue     chan *Query
-	quit      chan struct{} // closed by Close: interrupts + drains
-	closeOnce sync.Once
-	done      chan struct{} // closed when the runner exits
+	queue chan *Query
+	// ctx spans the session's life; Close cancels it, which interrupts
+	// the in-flight query and sends the runner into its drain.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the runner exits
 }
 
 // State returns the session's current lifecycle state.
@@ -442,8 +465,11 @@ func (ss *Session) State() State {
 type Info struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
-	// Vars / Clauses describe the resident formula (clauses grow as
-	// queries add).
+	// Vars / Clauses describe the resident formula as the solver holds
+	// it after the last finished query: the variables still open (not
+	// fixed at top level, not retired) and the live problem clauses of
+	// two or more literals. Queries that add grow them; clause groups
+	// switched off by a top-level unit leave them again.
 	Vars    int `json:"vars"`
 	Clauses int `json:"clauses"`
 	// Queries counts finished queries; Pending the queued ones.
@@ -461,16 +487,12 @@ func (ss *Session) Info() Info {
 	defer ss.mu.Unlock()
 	in := Info{
 		ID: ss.ID, State: ss.state,
-		Clauses: ss.numClauses,
+		Vars: ss.numVars, Clauses: ss.numClauses,
 		Queries: ss.served, Pending: len(ss.queue),
 		IdleMS: time.Since(ss.lastUsed).Milliseconds(),
 	}
-	switch {
-	case ss.ckpt != nil:
-		in.Vars = ss.ckpt.NumVars()
+	if ss.ckpt != nil {
 		in.CheckpointBytes = ss.ckpt.Bytes()
-	case ss.s != nil && !ss.busy:
-		in.Vars = ss.s.NumVars()
 	}
 	return in
 }
@@ -524,13 +546,11 @@ func (ss *Session) demote() bool {
 // exits. Idempotent; does not unregister from the manager (Delete
 // does).
 func (ss *Session) Close() {
-	ss.closeOnce.Do(func() {
-		ss.mu.Lock()
-		ss.state = StateEvicted
-		ss.ckpt = nil
-		ss.mu.Unlock()
-		close(ss.quit)
-	})
+	ss.mu.Lock()
+	ss.state = StateEvicted
+	ss.ckpt = nil
+	ss.mu.Unlock()
+	ss.cancel()
 }
 
 // Done is closed when the session's runner goroutine has exited.
@@ -559,6 +579,9 @@ func (ss *Session) Submit(ctx context.Context, req Request) (*Query, error) {
 		ss.mu.Unlock()
 		return nil, ErrSessionClosed
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	ss.qseq++
 	submitted := time.Now()
 	q := &Query{
@@ -572,9 +595,18 @@ func (ss *Session) Submit(ctx context.Context, req Request) (*Query, error) {
 		trace:        obs.NewTraceAt("query", 0, submitted),
 	}
 	q.trace.Annotate(obs.RootSpan, obs.A("id", q.ID), obs.A("session", ss.ID))
+	// The query keeps its own copy of the clauses, packed into one
+	// literal buffer (a guarded cone is hundreds of short clauses).
+	n := 0
+	for _, c := range req.Add {
+		n += len(c)
+	}
+	lits := make([]cnf.Lit, 0, n)
 	q.add = make([]cnf.Clause, 0, len(req.Add))
 	for _, c := range req.Add {
-		q.add = append(q.add, c.Clone())
+		at := len(lits)
+		lits = append(lits, c...)
+		q.add = append(q.add, lits[at:len(lits):len(lits)])
 	}
 	select {
 	case ss.queue <- q:
@@ -594,7 +626,7 @@ func (ss *Session) run() {
 	defer close(ss.done)
 	for {
 		select {
-		case <-ss.quit:
+		case <-ss.ctx.Done():
 			ss.mu.Lock()
 			ss.s = nil
 			ss.ckpt = nil

@@ -391,3 +391,61 @@ func TestManagerRejectsUncheckpointable(t *testing.T) {
 		t.Fatal("LogProof session was accepted")
 	}
 }
+
+// TestSessionInfoFollowsLiveFormula pins the bookkeeping fix: Info and
+// the manager's gauges report what the resident solver holds, so
+// clause groups switched off by a retirement unit leave the counts
+// again instead of accumulating forever, through a checkpoint too.
+func TestSessionInfoFollowsLiveFormula(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	f := gen.RandomKSAT(30, 60, 3, 2)
+	ss, err := m.Open(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := ss.Info()
+	if open.Vars != 30 || open.Clauses != 60 {
+		t.Fatalf("fresh session reports %d vars / %d clauses, want 30 / 60", open.Vars, open.Clauses)
+	}
+	next := cnf.Var(30)
+	var retire []cnf.Clause
+	peak := 0
+	for round := 0; round < 20; round++ {
+		next++
+		act := next
+		add := retire
+		for i := 0; i < 10; i++ {
+			next++
+			add = append(add, cnf.Clause{cnf.PosLit(next), cnf.NewLit(cnf.Var(1+i), round%2 == 0), cnf.NegLit(act)})
+		}
+		q, err := ss.Submit(context.Background(), Request{Assume: []cnf.Lit{cnf.PosLit(act)}, Add: add})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := waitResult(t, q); res.Status != solver.Sat || len(res.Model) != int(next)+1 {
+			t.Fatalf("round %d: %v with a model over %d variables", round, res.Status, len(res.Model)-1)
+		}
+		retire = []cnf.Clause{{cnf.NegLit(act)}}
+		peak = max(peak, ss.Info().Clauses)
+	}
+	if peak > 60+3*10 {
+		t.Fatalf("resident formula peaked at %d clauses: retired groups pile up", peak)
+	}
+	in, st := ss.Info(), m.Stats()
+	if in.Vars > 30+2*11 || in.Clauses > 60+3*10 {
+		t.Fatalf("after 20 retired groups the session reports %d vars / %d clauses", in.Vars, in.Clauses)
+	}
+	if st.LiveClauses != int64(in.Clauses) || st.LiveVars != int64(in.Vars) {
+		t.Fatalf("manager gauges %d/%d, session %d/%d", st.LiveClauses, st.LiveVars, in.Clauses, in.Vars)
+	}
+	if st.Sweeps == 0 || st.SweptClauses < 150 || st.RetiredVars < 150 {
+		t.Fatalf("sweep counters not surfaced: %+v", st)
+	}
+	if !ss.demote() {
+		t.Fatal("idle session did not demote")
+	}
+	if ck := ss.Info(); ck.Vars != in.Vars || ck.Clauses != in.Clauses || ck.CheckpointBytes == 0 {
+		t.Fatalf("checkpointed session reports %+v, resident reported %+v", ck, in)
+	}
+}

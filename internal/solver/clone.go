@@ -66,13 +66,16 @@ type Checkpoint struct {
 	varInc   float64
 	claInc   float64
 
-	// In-search variable-elimination state: logical solver state (the
-	// restored fork must reconstruct models and honor restore-on-contact
-	// exactly like the original). The transient inprocessing state (the
-	// occurrence index, the vivification cursor) is deliberately NOT
-	// part of the image — see Checkpoint.
-	elimVars []bool
+	// The decision flags (eliminated / retired variables), the in-search
+	// variable-elimination records and the level-0 sweep's trigger state:
+	// logical solver state (the restored fork must reconstruct models,
+	// honor restore-on-contact, leave retired variables alone and sweep
+	// on the same Solve call, exactly like the original). The transient
+	// inprocessing state (the occurrence index, the vivification cursor)
+	// is deliberately NOT part of the image — see Checkpoint.
+	varFlags []uint8
 	elimRecs []elimRecord
+	sweepSt  sweepState // scratch buffers stripped
 
 	stats Stats
 	ok    bool
@@ -117,19 +120,21 @@ func (s *Solver) Checkpoint() (*Checkpoint, error) {
 		phase:   append([]bool(nil), s.phase...),
 		activity: append([]float64(nil),
 			s.activity...),
-		varInc: s.varInc,
-		claInc: s.claInc,
-		stats:  s.Stats,
-		ok:     s.ok,
-		warm:   s.warmDone,
+		varFlags: append([]uint8(nil), s.varFlags...),
+		varInc:   s.varInc,
+		claInc:   s.claInc,
+		stats:    s.Stats,
+		ok:       s.ok,
+		warm:     s.warmDone,
 	}
+	ck.sweepSt = s.sweepSt
+	ck.sweepSt.stamp, ck.sweepSt.epoch, ck.sweepSt.dropped = nil, 0, nil
 	ck.opts.ExportClause = nil
 	ck.opts.ImportClauses = nil
 	for t := range s.db.roster {
 		ck.roster[t] = append([]CRef(nil), s.db.roster[t]...)
 	}
 	if len(s.inproc.elimRecs) > 0 {
-		ck.elimVars = append([]bool(nil), s.inproc.elimVars...)
 		ck.elimRecs = make([]elimRecord, len(s.inproc.elimRecs))
 		for i, rec := range s.inproc.elimRecs {
 			cp := elimRecord{v: rec.v, clauses: make([]cnf.Clause, len(rec.clauses))}
@@ -164,11 +169,15 @@ func (ck *Checkpoint) Restore() *Solver {
 	copy(s.assigns, ck.assigns)
 	copy(s.phase, ck.phase)
 	copy(s.activity, ck.activity)
+	copy(s.varFlags, ck.varFlags)
+	s.sweepSt = ck.sweepSt
 	// growTo pushed every variable at activity 0; rebuild the heap so the
-	// restored activities order it.
+	// restored activities order it. Retired variables stay out of it.
 	s.order = newVarHeap(&s.activity)
 	for v := cnf.Var(1); int(v) <= ck.numVars; v++ {
-		s.order.push(v)
+		if s.varFlags[v]&varRetired == 0 {
+			s.order.push(v)
+		}
 	}
 
 	s.db.arena = append([]cnf.Lit(nil), ck.arena...)
@@ -188,10 +197,6 @@ func (ck *Checkpoint) Restore() *Solver {
 	// The transient inprocessing state (occurrence index, vivification
 	// cursor) starts empty and is rebuilt lazily.
 	if len(ck.elimRecs) > 0 {
-		s.inproc.elimVars = append([]bool(nil), ck.elimVars...)
-		for len(s.inproc.elimVars) < len(s.assigns) {
-			s.inproc.elimVars = append(s.inproc.elimVars, false)
-		}
 		s.inproc.elimRecs = make([]elimRecord, len(ck.elimRecs))
 		for i, rec := range ck.elimRecs {
 			cp := elimRecord{v: rec.v, clauses: make([]cnf.Clause, len(rec.clauses))}
@@ -217,6 +222,7 @@ func (ck *Checkpoint) Restore() *Solver {
 	s.prog.conflicts.Store(ck.stats.Conflicts)
 	s.prog.restarts.Store(ck.stats.Restarts)
 	s.prog.learned.Store(ck.stats.Learned)
+	s.publishSweepStats()
 	for i := range ck.stats.LBDHist {
 		s.prog.lbdHist[i].Store(ck.stats.LBDHist[i])
 	}
@@ -231,8 +237,7 @@ func (ck *Checkpoint) Bytes() int {
 	for t := range ck.roster {
 		b += len(ck.roster[t]) * 4
 	}
-	b += len(ck.assigns) + len(ck.phase) + len(ck.activity)*8
-	b += len(ck.elimVars)
+	b += len(ck.assigns) + len(ck.phase) + len(ck.activity)*8 + len(ck.varFlags)
 	for _, rec := range ck.elimRecs {
 		for _, cl := range rec.clauses {
 			b += len(cl) * 4

@@ -29,7 +29,8 @@ const (
 	// PhaseReduce is learnt-database reduction (reduceDB).
 	PhaseReduce
 	// PhaseInprocess is the restart-boundary inprocessing round
-	// (vivification, subsumption, variable elimination).
+	// (vivification, subsumption, variable elimination) and the
+	// between-Solve level-0 sweep.
 	PhaseInprocess
 	// PhaseGC is the relocating arena compaction.
 	PhaseGC
@@ -64,6 +65,8 @@ type progressCounters struct {
 	restarts  atomic.Int64
 	learned   atomic.Int64
 	lbdHist   [LBDHistBuckets]atomic.Int64
+	// Level-0 sweep totals (sweep.go), published after each sweep.
+	sweeps, sweptClauses, retiredVars atomic.Int64
 	// phaseNS accumulates attributed search nanoseconds per Phase.
 	// Written only by the solving goroutine (plain adds would race with
 	// Snapshot readers, hence atomics); propagation entries are sampled
@@ -109,6 +112,10 @@ type Progress struct {
 	// LBDHist buckets every conflict clause by learn-time LBD: bucket i
 	// holds LBD i+1, the last bucket LBD ≥ LBDHistBuckets.
 	LBDHist [LBDHistBuckets]int64
+	// Sweeps, SweptClauses and RetiredVars mirror the level-0 sweep
+	// counters of Stats: sweeps run between Solve calls, clauses they
+	// dropped as satisfied, variables they retired.
+	Sweeps, SweptClauses, RetiredVars int64
 	// PhaseNS attributes accumulated search time to coarse phases,
 	// indexed by Phase (labels in PhaseNames): propagation (sampled
 	// estimate), conflict analysis, reduceDB, inprocessing, arena GC.
@@ -142,6 +149,10 @@ func (s *Solver) Snapshot() Progress {
 		Conflicts: s.prog.conflicts.Load(),
 		Restarts:  s.prog.restarts.Load(),
 		Learned:   s.prog.learned.Load(),
+
+		Sweeps:       s.prog.sweeps.Load(),
+		SweptClauses: s.prog.sweptClauses.Load(),
+		RetiredVars:  s.prog.retiredVars.Load(),
 	}
 	for i := range p.LBDHist {
 		p.LBDHist[i] = s.prog.lbdHist[i].Load()
@@ -257,6 +268,9 @@ func (s *Solver) injectLearnt(lits cnf.Clause) bool {
 			// normally reach us. Accept and grow.
 			s.growTo(int(l.Var()))
 		}
+	}
+	s.wake(lits)
+	for _, l := range lits {
 		switch s.LitValue(l) {
 		case cnf.True:
 			return true // satisfied at level 0 forever

@@ -46,7 +46,8 @@ var fuzzConfigs = []Options{
 // decodeFuzzFormula interprets fuzz bytes as a bounded CNF instance
 // plus a configuration pick:
 //
-//	data[0] → variable count in [1, 12]
+//	data[0] → variable count in [1, 12]; bit 7 selects the targets'
+//	          incremental modes (fuzzIncremental, FuzzProofVerify)
 //	data[1] → index into fuzzConfigs
 //	rest    → one literal per byte: 0 terminates a clause, otherwise
 //	          bit 7 is the polarity and the low bits pick the variable
@@ -93,6 +94,20 @@ func decodeFuzzFormula(data []byte) (*cnf.Formula, Options) {
 // This is the ground-truth harness every scheduling or heuristic change
 // must keep green: heuristics may change how the search walks, never
 // what it answers.
+// fuzzIncremental reports whether the input selects FuzzSolverVsBrute's
+// incremental mode (bit 7 of the first byte) and, if so, which
+// sweepConfigs entry the configuration byte picks. The mode runs the
+// decoded clauses as guarded add/solve/retire rounds on one solver
+// (guardedRun) instead of one Solve: the first quarter of the clauses
+// is the permanent base, the rest come in groups of three, each retired
+// before the next arrives, all over the same few variables.
+func fuzzIncremental(data []byte) (Options, bool) {
+	if data[0]&0x80 == 0 {
+		return Options{}, false
+	}
+	return sweepConfigs[int(data[1])%len(sweepConfigs)], true
+}
+
 // proofFuzzConfigs is the palette FuzzProofVerify draws from: all log
 // proofs, spanning no deletions, heavy reduceDB deletion pressure, and
 // NoLearning temp clauses.
@@ -110,13 +125,21 @@ var proofFuzzConfigs = []Options{
 // any position before the conflict must be rejected, as must truncating
 // the stream before the conflict; and no stream may ever pass against a
 // brute-force-satisfiable formula (checker soundness: an accepted
-// refutation implies UNSAT).
+// refutation implies UNSAT). With bit 7 of the first byte set the
+// solver loads half of the clauses, solves, loads the rest and solves
+// again: the level-0 sweep runs between the two, and its deletion lines
+// are part of the stream that must verify against the whole formula.
 func FuzzProofVerify(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 0, 0x81, 0})                   // x ∧ ¬x
+	f.Add([]byte{1, 0, 1, 0, 0x81, 0}) // x ∧ ¬x
 	f.Add([]byte{3, 1, 1, 2, 0, 0x81, 3, 0, 0x82, 0x83, 0})
 	f.Add([]byte{2, 1, 1, 2, 0, 0x81, 2, 0, 1, 0x82, 0, 0x81, 0x82, 0}) // unsat 2-var square
 	f.Add([]byte{4, 2, 1, 2, 0, 0x81, 0x82, 0, 3, 4, 0, 0x83, 0x84, 0, 1, 3, 0, 0x81, 0x83, 0})
 	f.Add([]byte{5, 3, 0}) // single empty clause
+	// Two solves with a sweep in between: units that satisfy earlier
+	// clauses, then a contradiction among the rest.
+	// (1 2)(1 3)(¬1 4)(1) | the four clauses over 2, 3 — 4 variables.
+	f.Add([]byte{0x87, 0, 4, 1, 0, 4, 2, 0, 0x84, 3, 0, 4, 0, 1, 2, 0, 0x81, 2, 0, 1, 0x82, 0, 0x81, 0x82, 0})
+	f.Add([]byte{0x89, 1, 6, 1, 2, 0, 6, 3, 0, 6, 4, 5, 0, 1, 3, 0, 6, 0, 1, 2, 0, 0x81, 2, 0, 1, 0x82, 0, 0x81, 0x82, 4, 0, 0x84, 5, 0, 0x84, 0x85, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip("oversized input")
@@ -126,7 +149,13 @@ func FuzzProofVerify(f *testing.F) {
 			t.Skip("undecodable")
 		}
 		opts := proofFuzzConfigs[int(data[1])%len(proofFuzzConfigs)]
-		s := FromFormula(formula, opts)
+		s := New(formula.NumVars(), opts)
+		for i, cl := range formula.Clauses {
+			if i == len(formula.Clauses)/2 && data[0]&0x80 != 0 && s.Solve() == Unsat {
+				break // the first half alone is refuted
+			}
+			s.AddClause(cl)
+		}
 		st := s.Solve()
 		p := s.Proof()
 		if st == Sat {
@@ -207,6 +236,12 @@ func FuzzSolverVsBrute(f *testing.F) {
 	f.Add([]byte{9, 15, 1, 2, 0, 0x81, 3, 0, 0x82, 4, 0, 0x83, 0x84, 0, 5, 6, 0, 0x85, 7, 0, 0x86, 0x87, 0, 8, 9, 0, 1, 0x89, 0})
 	f.Add([]byte{10, 18, 1, 2, 3, 0, 0x81, 0x82, 0, 4, 5, 0, 0x84, 0x85, 0, 6, 7, 8, 0, 0x86, 0x88, 0, 9, 10, 0, 0x89, 0x8a, 0})
 	f.Add([]byte{8, 19, 1, 2, 0, 0x81, 0x82, 0, 3, 4, 0, 0x83, 0x84, 0, 5, 6, 0, 0x85, 0x86, 0, 7, 8, 0, 0x87, 0x88, 0, 1, 3, 5, 7, 0})
+	// Incremental mode: guarded groups over reused variables, with a
+	// unit in the base, under every sweepConfigs entry.
+	for i := range sweepConfigs {
+		f.Add([]byte{0x89, byte(i), 6, 0, 1, 2, 0, 6, 3, 0, 0x83, 4, 0, 1, 0x84, 0, 2, 5, 0, 0x82, 0x85, 0,
+			3, 0, 1, 4, 5, 0, 0x81, 0, 0x84, 0x85, 0, 2, 0, 0x82, 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip("oversized input")
@@ -214,6 +249,19 @@ func FuzzSolverVsBrute(f *testing.F) {
 		formula, opts := decodeFuzzFormula(data)
 		if formula == nil {
 			t.Skip("undecodable")
+		}
+		if iopts, ok := fuzzIncremental(data); ok {
+			g := newGuardedRun(t, formula.NumVars(), iopts)
+			base := formula.NumClauses() / 4
+			for _, cl := range formula.Clauses[:base] {
+				g.addPermanent(cl)
+			}
+			for rest := formula.Clauses[base:]; len(rest) > 0; {
+				n := min(3, len(rest))
+				g.solveGroup(rest[:n])
+				rest = rest[n:]
+			}
+			return
 		}
 		want, _ := cnf.BruteForce(formula)
 		s := FromFormula(formula, opts)

@@ -52,6 +52,20 @@ func (h *varHeap) pop() cnf.Var {
 	return v
 }
 
+// remove takes v out of the heap wherever it sits (no-op when absent).
+func (h *varHeap) remove(v cnf.Var) {
+	if !h.contains(v) {
+		return
+	}
+	i, last := h.indices[v], len(h.heap)-1
+	h.swap(i, last)
+	h.heap = h.heap[:last]
+	h.indices[v] = -1
+	if i < last {
+		h.update(h.heap[i])
+	}
+}
+
 // update restores heap order after v's activity changed.
 func (h *varHeap) update(v cnf.Var) {
 	if !h.contains(v) {

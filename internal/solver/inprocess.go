@@ -31,7 +31,10 @@ import "repro/internal/cnf"
 //     and Solve reconstructs the eliminated variables' values into the
 //     model at Sat time (newest elimination first). A later assumption
 //     or added clause over an eliminated variable re-constrains it and
-//     undoes every elimination (restoreEliminated).
+//     undoes every elimination (restoreEliminated). An eliminated
+//     variable carries the varElim flag in Solver.varFlags, the
+//     per-variable "not a decision candidate" byte it shares with the
+//     level-0 sweep's retired variables (sweep.go).
 //
 // Invariants the rest of the solver relies on:
 //
@@ -40,21 +43,23 @@ import "repro/internal/cnf"
 //   - Reason clauses are never modified or deleted: every transform
 //     skips locked clauses (at level 0 a reason's first literal is true
 //     at level 0, so such clauses are also level-0 satisfied).
-//   - Binary clauses are never tombstoned without eager detach (the GC
-//     patches binary watcher pages unconditionally), and never modified.
+//   - Binary clauses are never modified, and never tombstoned without
+//     eager detach: propagate's binary loop does not look at the arena,
+//     so a tombstoned binary clause would keep implying. (The level-0
+//     sweep's lazily dropped binaries are the one exception — satisfied
+//     forever, their watchers can only ever skip.)
 //   - No arena GC runs mid-round: CRef snapshots (candidate lists, the
 //     occurrence index) stay valid; resolvent allocs only append.
 
 // inprocState is the solver's inprocessing state. The occurrence index
 // and the vivification cursor are transient (flushed by the arena GC and
-// at checkpoint time); elimVars/elimRecs are logical solver state.
+// at checkpoint time); elimRecs is logical solver state.
 type inprocState struct {
 	occ      [][]CRef // core-tier occurrence lists, by literal index
 	occValid bool
 	vivCur   int   // round-robin cursor over vivification candidates
 	rounds   int64 // rounds run (deep-boundary cadence)
 
-	elimVars []bool       // variable eliminated in-search?
 	elimRecs []elimRecord // removed original clauses, in elimination order
 
 	// Scratch buffers reused across rounds.
@@ -79,10 +84,20 @@ func (ip *inprocState) dropOccIndex() {
 	ip.occValid = false
 }
 
+// Solver.varFlags bits. A variable with any bit set is not a decision
+// candidate.
+const (
+	// varElim: eliminated in-search (varElimRound). It stays unassigned;
+	// Solve reconstructs its value from the recorded clauses when it
+	// captures a Sat model.
+	varElim uint8 = 1 << iota
+	// varRetired: occurs in no live clause (the level-0 sweep). It is
+	// parked at False off the trail until wake.
+	varRetired
+)
+
 // isEliminated reports whether v was eliminated in-search.
-func (s *Solver) isEliminated(v cnf.Var) bool {
-	return int(v) < len(s.inproc.elimVars) && s.inproc.elimVars[v]
-}
+func (s *Solver) isEliminated(v cnf.Var) bool { return s.varFlags[v]&varElim != 0 }
 
 // inprocess runs one inprocessing round if this restart is a boundary
 // the cadence selects. It must be called at decision level 0 with the
@@ -432,11 +447,6 @@ func (s *Solver) varElimRound(budget *int64) bool {
 		maxElimRound = 64 // eliminations per round
 	)
 	nv := s.NumVars()
-	if len(s.inproc.elimVars) < nv+1 {
-		grown := make([]bool, nv+1)
-		copy(grown, s.inproc.elimVars)
-		s.inproc.elimVars = grown
-	}
 	// Per-variable occurrence lists over live, not-top-level-satisfied
 	// original clauses (satisfied clauses constrain nothing and stay).
 	occ := make([][]CRef, nv+1)
@@ -451,7 +461,7 @@ func (s *Solver) varElimRound(budget *int64) bool {
 	elim := 0
 	var round []cnf.Var // variables eliminated this round
 	for v := cnf.Var(1); int(v) <= nv && elim < maxElimRound && *budget > 0 && !s.stop.Load(); v++ {
-		if s.assigns[v] != cnf.Undef || s.isEliminated(v) || len(occ[v]) == 0 {
+		if s.assigns[v] != cnf.Undef || s.varFlags[v] != 0 || len(occ[v]) == 0 {
 			continue
 		}
 		var pos, neg []CRef
@@ -486,7 +496,7 @@ func (s *Solver) varElimRound(budget *int64) bool {
 			s.removeClause(c)
 		}
 		s.inproc.elimRecs = append(s.inproc.elimRecs, rec)
-		s.inproc.elimVars[v] = true
+		s.varFlags[v] |= varElim
 		s.Stats.ElimVars++
 		elim++
 		round = append(round, v)
@@ -516,7 +526,7 @@ func (s *Solver) varElimRound(budget *int64) bool {
 				continue
 			}
 			for _, l := range s.db.lits(c) {
-				if s.inproc.elimVars[l.Var()] {
+				if s.isEliminated(l.Var()) {
 					s.removeClause(c)
 					break
 				}
@@ -647,8 +657,8 @@ func (s *Solver) restoreEliminated() bool {
 	s.cancelUntil(0)
 	recs := s.inproc.elimRecs
 	s.inproc.elimRecs = nil
-	for i := range s.inproc.elimVars {
-		s.inproc.elimVars[i] = false
+	for _, rec := range recs {
+		s.varFlags[rec.v] &^= varElim
 	}
 	for _, rec := range recs {
 		for _, cl := range rec.clauses {

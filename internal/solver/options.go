@@ -340,6 +340,12 @@ type Stats struct {
 	StrengthenedLits int64 // literals removed by self-subsuming resolution
 	ElimVars         int64 // variables eliminated in-search (InprocessVarElim)
 
+	// Level-0 sweep counters (sweep.go): the between-Solve simplification
+	// of a solver used incrementally.
+	Sweeps       int64 // sweeps run on entry to a repeat Solve
+	SweptClauses int64 // original + learnt clauses dropped as satisfied at level 0
+	RetiredVars  int64 // variables retired from the decision heuristics (re-retirements count)
+
 	// LBDHist is the learn-time LBD histogram of every conflict clause
 	// derived by analyze (including units and NoLearning temp clauses):
 	// bucket i counts clauses with LBD i+1, the last bucket LBD ≥

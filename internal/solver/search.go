@@ -37,7 +37,8 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	}
 	// An assumption over an in-search-eliminated variable re-constrains
 	// it; undo the eliminations (they are no longer model-preserving
-	// under this query) before searching.
+	// under this query) before searching. One over a retired variable
+	// just makes it branchable again.
 	for _, a := range assumptions {
 		if s.isEliminated(a.Var()) {
 			if !s.restoreEliminated() {
@@ -46,6 +47,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 			break
 		}
 	}
+	s.wake(assumptions)
 	s.assumptions = assumptions
 	if s.opts.Decide == DecideDLIS && !s.dlisOcc {
 		s.buildOccLists()
@@ -55,6 +57,9 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		s.ok = false
 		return Unsat
 	}
+	// A repeat Solve first drops what the level-0 facts added since the
+	// last one have settled (sweep.go); the first never does.
+	s.maybeSweep()
 	// Pick up clauses shared by sibling workers before searching.
 	if !s.importShared() {
 		return Unsat
@@ -72,11 +77,18 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		limit := s.restartLimit(restart)
 		st := s.search(limit)
 		if st == Sat {
-			s.model = make(cnf.Assignment, len(s.assigns))
-			copy(s.model, s.assigns)
+			// make+copy between locals compiles to one allocation
+			// that is never zeroed; spelled through the fields it is
+			// cleared first, and the model is as long as the solver's
+			// whole variable history.
+			src := s.assigns
+			m := make(cnf.Assignment, len(src))
+			copy(m, src)
+			s.model = m
 			// Variables eliminated in-search are unassigned in the
 			// search's model; reconstruct their values from the removed
-			// clauses (newest elimination first).
+			// clauses (newest elimination first). (Retired variables
+			// are parked at a value already.)
 			s.reconstructModel()
 			return st
 		}
@@ -421,7 +433,7 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 		}
 	case DecideOrdered:
 		for v := cnf.Var(1); int(v) <= s.NumVars(); v++ {
-			if s.assigns[v] == cnf.Undef && !s.isEliminated(v) {
+			if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
 				return cnf.NegLit(v)
 			}
 		}
@@ -430,11 +442,12 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 		return s.randomLit()
 	}
 	// VSIDS (default): most active unassigned variable, saved polarity.
-	// Variables eliminated in-search stay unassigned; the model
-	// reconstruction at Sat time supplies their values.
+	// Flagged variables never get here: retired ones are parked at a
+	// value outside the heap, eliminated ones stay unassigned and have
+	// their values reconstructed at Sat time.
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == cnf.Undef && !s.isEliminated(v) {
+		if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
 			return cnf.NewLit(v, !s.phase[v])
 		}
 	}
@@ -449,12 +462,12 @@ func (s *Solver) randomLit() cnf.Lit {
 	// Try random probes, then fall back to a scan.
 	for try := 0; try < 10; try++ {
 		v := cnf.Var(s.rng.Intn(n) + 1)
-		if s.assigns[v] == cnf.Undef && !s.isEliminated(v) {
+		if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
 			return cnf.NewLit(v, s.rng.Intn(2) == 0)
 		}
 	}
 	for v := cnf.Var(1); int(v) <= n; v++ {
-		if s.assigns[v] == cnf.Undef && !s.isEliminated(v) {
+		if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
 			return cnf.NewLit(v, s.rng.Intn(2) == 0)
 		}
 	}
@@ -477,7 +490,7 @@ func (s *Solver) dlisLit() cnf.Lit {
 	best := cnf.LitUndef
 	bestCount := -1
 	for v := cnf.Var(1); int(v) <= s.NumVars(); v++ {
-		if s.assigns[v] != cnf.Undef || s.isEliminated(v) {
+		if s.assigns[v] != cnf.Undef || s.varFlags[v] != 0 {
 			continue
 		}
 		for _, l := range []cnf.Lit{cnf.PosLit(v), cnf.NegLit(v)} {

@@ -68,6 +68,9 @@ type Solver struct {
 	phase    []bool // saved polarity
 	activity []float64
 	seen     []byte
+	// varFlags marks variables that are not decision candidates (varElim,
+	// varRetired): the one test every branching heuristic makes.
+	varFlags []uint8
 
 	trail    []cnf.Lit
 	trailLim []int
@@ -99,6 +102,10 @@ type Solver struct {
 	// never checkpointed; the variable-elimination records are logical
 	// solver state and survive checkpoints.
 	inproc inprocState
+
+	// Level-0 sweep state (sweep.go): the between-Solve trigger and the
+	// retired-variable count. Logical solver state, checkpointed.
+	sweepSt sweepState
 
 	warmDone bool // Options.WarmStart has been applied (first Solve)
 
@@ -169,13 +176,16 @@ func (s *Solver) growTo(n int) {
 		s.phase = append(s.phase, false)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, 0)
-		if s.inproc.elimVars != nil {
-			s.inproc.elimVars = append(s.inproc.elimVars, false)
-		}
+		s.varFlags = append(s.varFlags, 0)
 		v := cnf.Var(len(s.assigns) - 1)
 		if v >= 1 {
 			s.order.push(v)
 		}
+	}
+	// The DLIS occurrence lists exist from the first DLIS Solve on;
+	// variables added after it need their (empty) lists too.
+	for s.dlisOcc && len(s.occList) < 2*(n+1) {
+		s.occList = append(s.occList, nil)
 	}
 	if s.opts.LegacyWatcherStore {
 		for len(s.legacyWatches) < 2*(n+1) {
@@ -199,7 +209,8 @@ func (s *Solver) Okay() bool { return s.ok }
 // Value returns the value of variable v: the live (possibly partial)
 // assignment while Solve runs, the model after a Sat answer. For a
 // value that outlives further Solve/AddClause calls use Model, which
-// copies.
+// copies. (A variable the level-0 sweep retired reads False throughout:
+// it is in no clause, and that is the value models give it.)
 func (s *Solver) Value(v cnf.Var) cnf.LBool { return s.assigns[v] }
 
 // LitValue returns the value of literal l under the same live-state
@@ -221,6 +232,17 @@ func (s *Solver) Model() cnf.Assignment {
 		return nil
 	}
 	return s.model.Clone()
+}
+
+// TakeModel hands over the satisfying assignment captured by the last
+// Sat result without copying it: the caller owns the returned slice and
+// the solver forgets it (a later Model or TakeModel returns nil until
+// the next Sat answer). For callers that read one model per Solve — a
+// model is as long as the solver's whole variable history.
+func (s *Solver) TakeModel() cnf.Assignment {
+	m := s.model
+	s.model = nil
+	return m
 }
 
 // PartialModel reports whether the last Sat model was partial.
@@ -268,10 +290,31 @@ func (s *Solver) AddClause(lits cnf.Clause) bool {
 	return s.addClauseCore(norm)
 }
 
+// wake makes the variables of lits decision candidates again if the
+// level-0 sweep retired them: a clause or assumption is about to
+// mention them. Every path that brings literals in from outside the
+// clause database calls it (AddClause and restoreEliminated through
+// addClauseCore, injectLearnt, Solve for its assumptions).
+func (s *Solver) wake(lits []cnf.Lit) {
+	if s.sweepSt.retired == 0 {
+		return
+	}
+	for _, l := range lits {
+		v := l.Var()
+		if s.varFlags[v]&varRetired != 0 {
+			s.varFlags[v] &^= varRetired
+			s.assigns[v] = cnf.Undef
+			s.sweepSt.retired--
+			s.order.push(v)
+		}
+	}
+}
+
 // addClauseCore installs an already-normalized clause at decision level
 // 0: the tail of AddClause, shared with restoreEliminated (which re-adds
 // recorded clauses whose variables are all known).
 func (s *Solver) addClauseCore(norm cnf.Clause) bool {
+	s.wake(norm)
 	// Simplify against top-level assignments.
 	out := norm[:0]
 	for _, l := range norm {
@@ -310,6 +353,7 @@ func (s *Solver) addClauseCore(norm cnf.Clause) bool {
 	}
 	c := s.db.alloc(out, false, false, 0)
 	s.clauses = append(s.clauses, c)
+	s.sweepSt.added++
 	s.attach(c)
 	if s.dlisOcc {
 		for _, l := range s.db.lits(c) {
@@ -422,9 +466,10 @@ func (s *Solver) propagate() CRef {
 			for k := 2; k < len(lits); k++ {
 				if s.LitValue(lits[k]) != cnf.False {
 					lits[1], lits[k] = lits[k], lits[1]
-					nr := &s.watches.ref[lits[1].Not().Index()]
+					nli := lits[1].Not().Index()
+					nr := &s.watches.ref[nli]
 					if nr.n == nr.cap {
-						s.watches.grow(nr)
+						s.watches.grow(nli)
 					}
 					s.watches.data[nr.off+nr.n] = watcher{w.cref, first}
 					nr.n++
@@ -504,6 +549,13 @@ func (s *Solver) maybeGC() {
 // are rebuilt by compact itself (tier membership lives in the clause
 // headers), so they need no patching here. Safe at any point where no
 // caller holds an unpatched CRef.
+//
+// The patch pass costs what is live: it walks the watcher stores' used
+// rosters (the literals that own a page) and the trail (the variables
+// that can have an antecedent), never every literal or variable ever
+// allocated — a long-lived incremental solver collects once per few
+// queries, and the level-0 sweep releases the pages of literals that
+// left the formula.
 func (s *Solver) garbageCollect() {
 	gcStart := time.Now()
 	defer func() { s.prog.phaseNS[PhaseGC].Add(int64(time.Since(gcStart))) }()
@@ -514,38 +566,36 @@ func (s *Solver) garbageCollect() {
 	if s.opts.LegacyWatcherStore {
 		s.patchWatchesLegacy()
 	} else {
-		// Long watcher pages may still reference tombstoned clauses
-		// (lazy deletion): those watchers die here, and mostly-empty
+		// Watcher pages may still reference tombstoned clauses (lazy
+		// deletion; in the binary store only level-0-satisfied clauses
+		// the sweep dropped): those watchers die here, and mostly-empty
 		// pages are exchanged for smaller ones (old page onto the free
 		// chain) by shrink — the GC sweep is the one place pages give
 		// memory back.
-		for li := range s.watches.ref {
-			r := s.watches.ref[li]
-			data := s.watches.data
-			w := uint32(0)
-			for i := uint32(0); i < r.n; i++ {
-				x := data[r.off+i]
-				if s.db.deleted(x.cref) {
-					continue
+		for _, st := range [...]*watchStore{&s.watches, &s.binWatches} {
+			for _, li := range st.used {
+				r := st.ref[li]
+				data := st.data
+				w := uint32(0)
+				for i := uint32(0); i < r.n; i++ {
+					x := data[r.off+i]
+					if s.db.deleted(x.cref) {
+						continue
+					}
+					x.cref = s.db.forward(x.cref)
+					data[r.off+w] = x
+					w++
 				}
-				x.cref = s.db.forward(x.cref)
-				data[r.off+w] = x
-				w++
-			}
-			s.watches.shrink(li, w)
-		}
-		// Binary clauses are never deleted; patch pages in place.
-		for li := range s.binWatches.ref {
-			ws := s.binWatches.list(li)
-			for i := range ws {
-				ws[i].cref = s.db.forward(ws[i].cref)
+				st.shrink(int(li), w)
 			}
 		}
 	}
 	// Locked antecedents survive by construction (reduceDB never deletes
-	// them, and temp reasons are tombstoned only after being cleared).
-	for v := range s.reason {
-		if s.reason[v] != CRefUndef {
+	// them, temp reasons are tombstoned only after being cleared, and
+	// the sweep clears the level-0 antecedents it deletes). Only trail
+	// variables have one.
+	for _, l := range s.trail {
+		if v := l.Var(); s.reason[v] != CRefUndef {
 			s.reason[v] = s.db.forward(s.reason[v])
 		}
 	}

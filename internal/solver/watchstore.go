@@ -13,7 +13,8 @@ package solver
 // Layout:
 //
 //	data:  [ page₀ | page₁ | page₂ | ... ]           one flat []watcher
-//	ref:   per literal {off,n,cap} → its page        one flat []watchRef
+//	ref:   per literal {off,n,cap,pos} → its page    one flat []watchRef
+//	used:  the literals that currently own a page    one flat []uint32
 //	free:  per size class k, head of a free-page chain
 //
 // Pages have power-of-two capacities pageSize<<k (pageSize is the
@@ -24,6 +25,12 @@ package solver
 // its page. Free chains are threaded through the dead pages themselves
 // (the first slot's cref field holds the next free page's offset), so
 // the free lists cost no extra memory.
+//
+// The used roster is what keeps whole-store sweeps (the arena GC's patch
+// pass) proportional to the lists that exist rather than to every
+// literal ever allocated: a literal joins it with its first page and
+// leaves it through release, which the level-0 sweep calls for literals
+// that can never be watched again (sweep.go).
 //
 // Invalidation rules — the two aliasing hazards of a relocating store:
 //
@@ -47,11 +54,13 @@ const noPage = ^uint32(0)
 
 // watchRef is one literal's page header: the watchers of the literal
 // occupy data[off : off+n] inside a page of capacity cap slots.
-// cap == 0 means the literal never had a watcher (no page assigned).
+// cap == 0 means the literal owns no page (never watched, or released);
+// otherwise pos is the literal's index in the store's used roster.
 type watchRef struct {
 	off uint32
 	n   uint32
 	cap uint32
+	pos uint32
 }
 
 // watchStore is a flat, paged store of per-literal watcher lists. The
@@ -62,6 +71,7 @@ type watchStore struct {
 	pageSize uint32     // minimum page capacity in slots (power of two)
 	data     []watcher  // every page, back to back
 	ref      []watchRef // per-literal page headers, indexed by Lit.Index()
+	used     []uint32   // literal indices owning a page, in no particular order
 	free     []uint32   // per size class k (cap pageSize<<k): free-chain head
 }
 
@@ -140,18 +150,22 @@ func (st *watchStore) freePage(off uint32, k int) {
 func (st *watchStore) push(li int, w watcher) {
 	r := &st.ref[li]
 	if r.n == r.cap {
-		st.grow(r)
+		st.grow(li)
 	}
 	st.data[r.off+r.n] = w
 	r.n++
 }
 
-// grow moves r's list onto a page of the next size class (or assigns a
-// first page), donating the outgrown page to its class's free chain.
-func (st *watchStore) grow(r *watchRef) {
+// grow moves li's list onto a page of the next size class (or assigns a
+// first page, entering li into the used roster), donating the outgrown
+// page to its class's free chain. It never moves the ref slice.
+func (st *watchStore) grow(li int) {
+	r := &st.ref[li]
 	if r.cap == 0 {
 		r.off = st.allocPage(0)
 		r.cap = st.pageSize
+		r.pos = uint32(len(st.used))
+		st.used = append(st.used, uint32(li))
 		return
 	}
 	k := st.class(r.cap)
@@ -194,6 +208,22 @@ func (st *watchStore) shrink(li int, n uint32) {
 			r.cap = target
 		}
 	}
+}
+
+// release drops literal li's list and returns its page to the free
+// chain; li leaves the used roster until a later push gives it a page
+// again. For lists whose every watcher is known dead.
+func (st *watchStore) release(li int) {
+	r := &st.ref[li]
+	if r.cap == 0 {
+		return
+	}
+	st.freePage(r.off, st.class(r.cap))
+	last := st.used[len(st.used)-1]
+	st.used[r.pos] = last
+	st.ref[last].pos = r.pos
+	st.used = st.used[:len(st.used)-1]
+	*r = watchRef{}
 }
 
 // remove deletes the watcher guarding clause c from literal li's list,
