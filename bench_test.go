@@ -961,39 +961,6 @@ func BenchmarkE32_ClauseArena(b *testing.B) {
 			b.ReportMetric(float64(gcs)/float64(b.N), "arenaGCs")
 		})
 	}
-
-	// Watcher-store variant: the paged flat store against the
-	// slice-of-slices baseline it replaced (kept in-tree behind
-	// Options.LegacyWatcherStore precisely for this comparison). Both
-	// configurations run the identical propagation algorithm and — by
-	// the differential test — bit-identical searches, so allocs/op and
-	// props/s differences are attributable purely to the watcher
-	// representation: the baseline pays one heap object per non-empty
-	// watch list (plus regrowth), the paged store a handful of
-	// geometric growths of one backing slice, with freed pages recycled
-	// through size-class free chains.
-	for _, store := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"paged", false},
-		{"sliceOfSlices", true},
-	} {
-		for _, inst := range instances {
-			b.Run(fmt.Sprintf("watchstore=%s/%s", store.name, inst.name), func(b *testing.B) {
-				b.ReportAllocs()
-				var props int64
-				for i := 0; i < b.N; i++ {
-					s := solver.FromFormula(inst.f, solver.Options{LegacyWatcherStore: store.legacy})
-					if s.Solve() == solver.Unknown {
-						b.Fatal("must decide")
-					}
-					props += s.Stats.Propagations
-				}
-				b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
-			})
-		}
-	}
 }
 
 // E33 (adaptive portfolio scheduling): wall-clock of the static recipe

@@ -86,6 +86,20 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Fatalf("satsolve %v on PHP: exit %d", args, code)
 		}
 	}
+	// Profiling one solve: both files written, the verdict untouched.
+	cpuProf, memProf := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	out, code = run(t, satsolve, php, "-cpuprofile", cpuProf, "-memprofile", memProf)
+	if code != 20 || !strings.Contains(out, "s UNSATISFIABLE") {
+		t.Fatalf("satsolve with profiles: code %d\n%s", code, out)
+	}
+	for _, p := range []string{cpuProf, memProf} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s not written: %v", p, err)
+		}
+	}
+	if _, code := run(t, satsolve, php, "-cpuprofile", filepath.Join(dir, "no-such-dir", "cpu.pprof")); code != 1 {
+		t.Fatalf("unwritable profile path: exit %d, want 1", code)
+	}
 	// Local search cannot prove UNSAT: exit 30 (unknown).
 	if _, code := run(t, satsolve, php, "-local-search"); code != 30 {
 		t.Fatalf("local search on UNSAT should be UNKNOWN, got %d", code)

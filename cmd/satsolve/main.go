@@ -12,6 +12,9 @@
 // "s SATISFIABLE" / "s UNSATISFIABLE" and, when satisfiable, "v" lines
 // with the model.
 //
+// Profiling: -cpuprofile FILE and -memprofile FILE write runtime/pprof
+// profiles covering the parse and the solve, nothing after it.
+//
 // Proof logging: -drat FILE streams a DRAT refutation (deletion lines
 // included) to FILE while solving; -drat-check FILE verifies such a
 // file against the formula with the independent RUP checker instead of
@@ -25,6 +28,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
@@ -47,7 +51,6 @@ func main() {
 		maxConfl  = flag.Int64("max-conflicts", 0, "conflict budget (0 = unlimited)")
 		inprocess = flag.Bool("inprocess", false, "in-search inprocessing at restart boundaries: clause vivification, on-the-fly subsumption and bounded variable elimination on the learnt database")
 		warmStart = flag.Int64("warm-start", 0, "run a probe solve with this conflict budget first and seed the main search's branching from the probe's most active variables (0 = off)")
-		watchPage = flag.Int("watch-page", 0, "min page capacity of the paged watcher store, rounded up to a power of two (values below 2 select the default of 4)")
 		workers   = flag.Int("workers", 1, "portfolio workers racing in parallel (0 = all CPUs, 1 = sequential)")
 		share     = flag.Bool("share", true, "share short learned clauses between portfolio workers")
 		adaptive  = flag.Bool("adaptive", false, "adaptive portfolio scheduling: kill clearly-losing recipes and respawn with fresh seeds (needs -workers > 1)")
@@ -58,8 +61,11 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget, e.g. 10s (0 = none); exhaustion exits 40 with s UNKNOWN")
 		stats     = flag.Bool("stats", false, "print search statistics")
 		quiet     = flag.Bool("q", false, "suppress model output")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of parsing and solving to this file (read it with go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write an allocation profile of parsing and solving to this file, sampled every 4 KB allocated")
 	)
 	flag.Parse()
+	stopProfiles := startProfiles(*cpuProf, *memProf)
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -105,7 +111,6 @@ func main() {
 			RandomFreq:    *rnd,
 			Seed:          *seed,
 			MaxConflicts:  *maxConfl,
-			WatchPageSize: *watchPage,
 		},
 	}
 	if *inprocess {
@@ -213,6 +218,7 @@ func main() {
 	if ans == nil {
 		ans = core.SolveContext(ctx, formula, opts)
 	}
+	stopProfiles()
 	if dratW != nil {
 		if err := dratW.Flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "satsolve: drat:", err)
@@ -281,4 +287,51 @@ func main() {
 		os.Exit(30)
 	}
 	os.Exit(10)
+}
+
+// startProfiles begins the profiles whose paths are non-empty and
+// returns the function that ends them and writes the files. Profiling
+// is a diagnostic: a file that cannot be written is fatal.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fatal := func(err error) {
+		fmt.Fprintln(os.Stderr, "satsolve: profile:", err)
+		os.Exit(1)
+	}
+	var cpuFile *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		cpuFile = f
+	}
+	if memPath != "" {
+		// The default (one sample per 512 KB) sees nothing of a solve
+		// that allocates less than that in total.
+		runtime.MemProfileRate = 4096
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fatal(err)
+			}
+			runtime.GC() // the profile holds what the last collection saw
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		}
+	}
 }

@@ -140,26 +140,34 @@ func (c Clause) Normalize() (Clause, bool) {
 	if len(c) <= 1 {
 		return c, false
 	}
-	out := c.Clone()
+	return c.Clone().NormalizeInPlace()
+}
+
+// NormalizeInPlace is Normalize for a clause the caller owns: it sorts
+// and deduplicates within c's backing array and allocates nothing.
+func (c Clause) NormalizeInPlace() (Clause, bool) {
+	if len(c) <= 1 {
+		return c, false
+	}
 	// Insertion sort: clauses are short, and we avoid a sort dependency on
 	// the hot path.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for i := 1; i < len(c); i++ {
+		for j := i; j > 0 && c[j] < c[j-1]; j-- {
+			c[j], c[j-1] = c[j-1], c[j]
 		}
 	}
 	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] == out[w-1] {
+	for i := 1; i < len(c); i++ {
+		if c[i] == c[w-1] {
 			continue
 		}
-		if out[i] == out[w-1].Not() {
-			return out, true
+		if c[i] == c[w-1].Not() {
+			return c, true
 		}
-		out[w] = out[i]
+		c[w] = c[i]
 		w++
 	}
-	return out[:w], false
+	return c[:w], false
 }
 
 // MaxVar returns the largest variable mentioned in the clause.

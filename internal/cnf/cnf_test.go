@@ -72,6 +72,24 @@ func TestClauseNormalize(t *testing.T) {
 	if n, taut := one.Normalize(); taut || len(n) != 1 {
 		t.Fatal("singleton normalize broken")
 	}
+	// Normalize leaves its receiver alone; NormalizeInPlace gives the
+	// same answer inside the receiver's own array, the empty clause
+	// included.
+	if c[0] != PosLit(3) || c[1] != NegLit(1) {
+		t.Fatalf("Normalize reordered its receiver: %v", c)
+	}
+	in, taut := c.NormalizeInPlace()
+	if taut || len(in) != len(n) || &in[0] != &c[0] {
+		t.Fatalf("NormalizeInPlace: %v (tautology %v), want %v in place", in, taut, n)
+	}
+	for i := range n {
+		if in[i] != n[i] {
+			t.Fatalf("NormalizeInPlace: %v, Normalize: %v", in, n)
+		}
+	}
+	if e, taut := (Clause{}).NormalizeInPlace(); taut || len(e) != 0 {
+		t.Fatal("empty clause normalize broken")
+	}
 }
 
 func TestClauseSubsumes(t *testing.T) {

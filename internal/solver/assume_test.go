@@ -109,7 +109,7 @@ func TestAssumptionReuseHeuristicState(t *testing.T) {
 	// to the branching order; none may have leaked out of both.
 	s.cancelUntil(0)
 	for v := cnf.Var(1); int(v) <= s.NumVars(); v++ {
-		if s.assigns[v] == cnf.Undef && !s.order.contains(v) {
+		if s.Value(v) == cnf.Undef && !s.order.contains(v) {
 			t.Fatalf("variable %d leaked out of the branching order", v)
 		}
 	}

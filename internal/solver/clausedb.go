@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -85,6 +86,11 @@ type clauseDB struct {
 	arena  []cnf.Lit
 	wasted int // words occupied by deleted clauses; the GC trigger
 
+	// spare is the arena the last compaction emptied, kept (length 0)
+	// as the next compaction's destination: collections ping-pong
+	// between two buffers instead of allocating one each.
+	spare []cnf.Lit
+
 	// roster holds every live learnt (non-temp) clause, segmented by
 	// glue tier. Compaction rebuilds the segments from clause headers;
 	// reduceDB compacts them in place as it tombstones.
@@ -103,6 +109,11 @@ func (db *clauseDB) alloc(lits []cnf.Lit, learnt, temp bool, lbd int) CRef {
 	}
 	if temp {
 		hdr |= flagTemp
+	}
+	if need := clsHdrWords + len(lits); cap(db.arena)-len(db.arena) < need {
+		// Double: append's 1.25x steps would copy a growing learnt
+		// database several times over between two collections.
+		db.arena = slices.Grow(db.arena, cap(db.arena)+need)
 	}
 	db.arena = append(db.arena, cnf.Lit(int32(hdr)), cnf.Lit(int32(uint32(lbd))), 0)
 	db.arena = append(db.arena, lits...)
@@ -211,10 +222,11 @@ func (db *clauseDB) setAct(c CRef, a float64) {
 	db.arena[c+2] = cnf.Lit(int32(math.Float32bits(float32(a))))
 }
 
-// compact copies every live clause into a fresh arena and leaves a
-// forwarding address in the old clause's LBD slot (the copy is taken
-// first, so the new clause keeps its real LBD). The caller patches all
-// outstanding CRefs through forward() and then installs the new arena.
+// compact copies every live clause into the spare arena (a fresh one
+// when the spare is too small) and leaves a forwarding address in the
+// old clause's LBD slot (the copy is taken first, so the new clause
+// keeps its real LBD). The caller patches all outstanding CRefs through
+// forward() and then installs the new arena with adopt.
 //
 // The learnt rosters are rebuilt in place during the same sweep: every
 // surviving learnt (non-temp) clause is re-entered into its tier segment
@@ -222,7 +234,12 @@ func (db *clauseDB) setAct(c CRef, a float64) {
 // patched and ordered by arena position in one pass — the caller never
 // patches rosters itself.
 func (db *clauseDB) compact() []cnf.Lit {
-	newArena := make([]cnf.Lit, 0, len(db.arena)-db.wasted)
+	newArena := db.spare
+	if cap(newArena) < len(db.arena)-db.wasted {
+		// As roomy as the arena it replaces: the survivors fit, with
+		// the headroom the search had grown into.
+		newArena = make([]cnf.Lit, 0, cap(db.arena))
+	}
 	for t := range db.roster {
 		db.roster[t] = db.roster[t][:0]
 	}
@@ -250,6 +267,13 @@ func (db *clauseDB) compact() []cnf.Lit {
 		c += span
 	}
 	return newArena
+}
+
+// adopt installs the arena compact returned; the one it replaces
+// becomes the spare.
+func (db *clauseDB) adopt(newArena []cnf.Lit) {
+	db.spare, db.arena = db.arena[:0], newArena
+	db.wasted = 0
 }
 
 // forward returns the post-compaction address of a live clause. Valid

@@ -56,7 +56,7 @@ func checkReasonConsistency(t *testing.T, s *Solver) {
 		if r == CRefUndef {
 			continue
 		}
-		if s.assigns[v] == cnf.Undef {
+		if s.Value(cnf.Var(v)) == cnf.Undef {
 			t.Fatalf("unassigned var %d has a reason", v)
 		}
 		if s.db.deleted(r) {

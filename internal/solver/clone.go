@@ -2,7 +2,6 @@ package solver
 
 import (
 	"errors"
-	"math/rand"
 
 	"repro/internal/cnf"
 )
@@ -59,8 +58,8 @@ type Checkpoint struct {
 	roster  [numTiers][]CRef
 	clauses []CRef
 
-	trail    []cnf.Lit // the level-0 closure at checkpoint time
-	assigns  []cnf.LBool
+	trail    []cnf.Lit   // the level-0 closure at checkpoint time
+	vals     []cnf.LBool // by literal, as in the solver
 	phase    []bool
 	activity []float64
 	varInc   float64
@@ -116,7 +115,7 @@ func (s *Solver) Checkpoint() (*Checkpoint, error) {
 		arena:   append([]cnf.Lit(nil), s.db.arena...),
 		clauses: append([]CRef(nil), s.clauses...),
 		trail:   append([]cnf.Lit(nil), s.trail...),
-		assigns: append([]cnf.LBool(nil), s.assigns...),
+		vals:    append([]cnf.LBool(nil), s.vals...),
 		phase:   append([]bool(nil), s.phase...),
 		activity: append([]float64(nil),
 			s.activity...),
@@ -160,20 +159,17 @@ func (ck *Checkpoint) Restore() *Solver {
 		ok:       ck.ok,
 		warmDone: ck.warm,
 	}
-	s.rng = rand.New(rand.NewSource(s.opts.Seed))
 	s.order = newVarHeap(&s.activity)
-	s.watches.init(s.opts.WatchPageSize)
-	s.binWatches.init(s.opts.WatchPageSize)
 	s.growTo(ck.numVars)
 
-	copy(s.assigns, ck.assigns)
+	copy(s.vals, ck.vals)
 	copy(s.phase, ck.phase)
 	copy(s.activity, ck.activity)
 	copy(s.varFlags, ck.varFlags)
 	s.sweepSt = ck.sweepSt
 	// growTo pushed every variable at activity 0; rebuild the heap so the
 	// restored activities order it. Retired variables stay out of it.
-	s.order = newVarHeap(&s.activity)
+	s.order.clear()
 	for v := cnf.Var(1); int(v) <= ck.numVars; v++ {
 		if s.varFlags[v]&varRetired == 0 {
 			s.order.push(v)
@@ -189,7 +185,7 @@ func (ck *Checkpoint) Restore() *Solver {
 	// Level-0 facts: trail copied verbatim, levels already 0 and reasons
 	// already CRefUndef from growTo. The closure is complete, so nothing
 	// is re-propagated.
-	s.trail = append([]cnf.Lit(nil), ck.trail...)
+	s.trail = append(s.trail, ck.trail...)
 	s.qhead = len(s.trail)
 
 	// In-search variable-elimination records (deep-copied: the restored
@@ -237,7 +233,7 @@ func (ck *Checkpoint) Bytes() int {
 	for t := range ck.roster {
 		b += len(ck.roster[t]) * 4
 	}
-	b += len(ck.assigns) + len(ck.phase) + len(ck.activity)*8 + len(ck.varFlags)
+	b += len(ck.vals) + len(ck.phase) + len(ck.activity)*8 + len(ck.varFlags)
 	for _, rec := range ck.elimRecs {
 		for _, cl := range rec.clauses {
 			b += len(cl) * 4

@@ -203,31 +203,21 @@ func (s *Solver) exportLearnt(learnt []cnf.Lit, lbd int) {
 // lbd computes the literal-block distance of a clause under the current
 // assignment: the number of distinct decision levels among its literals.
 // Lower is better; LBD 2 ("glue") clauses connect exactly two levels.
+// Every literal must be assigned. Levels are counted through an
+// epoch-stamped mark per level, so a call costs one pass and allocates
+// nothing at any depth.
 func (s *Solver) lbd(lits []cnf.Lit) int {
+	s.lbdMark = growSlice(s.lbdMark, s.decisionLevel()+1, 0)
+	if s.lbdEpoch++; s.lbdEpoch == 0 {
+		clear(s.lbdMark)
+		s.lbdEpoch = 1
+	}
 	n := 0
-	var small uint64
-	var levels []int32
 	for _, l := range lits {
-		lvl := s.level[l.Var()]
-		if lvl < 64 {
-			if small&(1<<uint(lvl)) != 0 {
-				continue
-			}
-			small |= 1 << uint(lvl)
-		} else {
-			dup := false
-			for _, x := range levels {
-				if x == lvl {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			levels = append(levels, lvl)
+		if lvl := s.level[l.Var()]; s.lbdMark[lvl] != s.lbdEpoch {
+			s.lbdMark[lvl] = s.lbdEpoch
+			n++
 		}
-		n++
 	}
 	return n
 }

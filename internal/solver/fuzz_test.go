@@ -24,7 +24,10 @@ var fuzzConfigs = []Options{
 	{Decide: DecideOrdered, Restart: RestartGeometric, RestartBase: 8},
 	{Decide: DecideRandom, Seed: 3},
 	{NoPhaseSaving: true, Restart: RestartLuby, RestartBase: 2},
-	{LegacyWatcherStore: true},
+	// A second temp-clause configuration, in the slot the deleted
+	// slice-of-slices watcher store held: seed corpus bytes index this
+	// slice, so slots are reused, never removed.
+	{NoLearning: true, Decide: DecideDLIS, NoPhaseSaving: true},
 	{LogProof: true},
 	{MaxLearnts: 1},
 	// Inprocessing configurations (aggressive cadence so restart

@@ -1,6 +1,10 @@
 package solver
 
-import "repro/internal/cnf"
+import (
+	"slices"
+
+	"repro/internal/cnf"
+)
 
 // varHeap is an indexed max-heap of variables ordered by activity.
 // It holds a pointer to the solver's activity slice so bumps reorder
@@ -23,6 +27,13 @@ func (h *varHeap) grow(v cnf.Var) {
 	}
 }
 
+// reserve makes room for variables 1..n, so that pushing them all
+// allocates nothing further.
+func (h *varHeap) reserve(n int) {
+	h.indices = growSlice(h.indices, n+1, -1)
+	h.heap = slices.Grow(h.heap, n-len(h.heap))
+}
+
 func (h *varHeap) contains(v cnf.Var) bool {
 	return int(v) < len(h.indices) && h.indices[v] >= 0
 }
@@ -37,7 +48,13 @@ func (h *varHeap) push(v cnf.Var) {
 	h.up(len(h.heap) - 1)
 }
 
-func (h *varHeap) pushIfAbsent(v cnf.Var) { h.push(v) }
+// clear empties the heap, keeping its storage.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.indices[v] = -1
+	}
+	h.heap = h.heap[:0]
+}
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
@@ -74,6 +91,14 @@ func (h *varHeap) update(v cnf.Var) {
 	i := h.indices[v]
 	h.up(i)
 	h.down(h.indices[v])
+}
+
+// increased is update for an activity that only grew (every VSIDS
+// bump): the entry can only need to rise.
+func (h *varHeap) increased(v cnf.Var) {
+	if h.contains(v) {
+		h.up(h.indices[v])
+	}
 }
 
 func (h *varHeap) swap(i, j int) {

@@ -105,8 +105,7 @@ func (s *Solver) isEliminated(v cnf.Var) bool { return s.varFlags[v]&varElim != 
 // database unsatisfiable.
 func (s *Solver) inprocess(restart int) bool {
 	o := &s.opts
-	if !o.Inprocess || o.NoLearning || o.LegacyWatcherStore ||
-		s.theory != nil || s.proof != nil || !s.ok {
+	if !o.Inprocess || o.NoLearning || s.theory != nil || s.proof != nil || !s.ok {
 		return s.ok
 	}
 	if restart%o.InprocessEvery != 0 || s.stop.Load() {
@@ -461,7 +460,7 @@ func (s *Solver) varElimRound(budget *int64) bool {
 	elim := 0
 	var round []cnf.Var // variables eliminated this round
 	for v := cnf.Var(1); int(v) <= nv && elim < maxElimRound && *budget > 0 && !s.stop.Load(); v++ {
-		if s.assigns[v] != cnf.Undef || s.varFlags[v] != 0 || len(occ[v]) == 0 {
+		if s.Value(v) != cnf.Undef || s.varFlags[v] != 0 || len(occ[v]) == 0 {
 			continue
 		}
 		var pos, neg []CRef

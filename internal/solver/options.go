@@ -133,23 +133,6 @@ type Options struct {
 	// NoPhaseSaving disables progress saving of variable polarities.
 	NoPhaseSaving bool
 
-	// WatchPageSize is the minimum page capacity, in watchers, of the
-	// paged watcher store: every per-literal watch list occupies one
-	// page of capacity WatchPageSize<<k inside a single flat backing
-	// slice, and freed pages are recycled through per-size-class free
-	// chains. Values are rounded up to a power of two; values below 2
-	// (including 0) select the default of 4, and absurdly large values
-	// are clamped. Larger pages trade memory slack for fewer page
-	// relocations on instances with long watch lists.
-	WatchPageSize int
-
-	// LegacyWatcherStore selects the pre-paging watcher representation
-	// (one individually heap-allocated slice per literal). It exists
-	// solely as the measured baseline for BenchmarkE32's watcher-store
-	// variant and the differential tests that pin the paged store's
-	// semantics; it is not a production configuration.
-	LegacyWatcherStore bool
-
 	// Inprocess enables the in-search inprocessing engine: at restart
 	// boundaries the solver vivifies mid/local learnt clauses
 	// (re-propagating each candidate's negated literals and shrinking or
@@ -157,9 +140,8 @@ type Options struct {
 	// against the core tier through an occurrence index rebuilt lazily
 	// from the arena headers. Inprocessing is skipped under NoLearning,
 	// proof streaming (LogProof/Proof: in-place strengthening rewrites
-	// clauses instead of extending the lemma sequence),
-	// LegacyWatcherStore (the baseline store has no eager detach path),
-	// and while a structural theory is attached.
+	// clauses instead of extending the lemma sequence), and while a
+	// structural theory is attached.
 	Inprocess bool
 
 	// InprocessNoVivify and InprocessNoSubsume veto the individual
@@ -269,9 +251,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.ShareMaxLBD == 0 {
 		out.ShareMaxLBD = 4
-	}
-	if out.WatchPageSize == 0 {
-		out.WatchPageSize = 4
 	}
 	if out.InprocessEvery == 0 {
 		out.InprocessEvery = 4

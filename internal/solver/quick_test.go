@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,56 @@ func TestQuickHeapUpdate(t *testing.T) {
 				return false
 			}
 			prev = a
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: after an activity bump, increased (sift up only — what
+// bumpVar calls) leaves the heap exactly as update (sift up, then down —
+// what it called before) does: two heaps driven through the same random
+// push/bump/pop sequence hold the same array after every operation and
+// pop in the same order, ties and rescaled activities included.
+func TestQuickHeapIncreasedMatchesUpdate(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 24
+		actA, actB := make([]float64, n+1), make([]float64, n+1)
+		a, b := newVarHeap(&actA), newVarHeap(&actB)
+		for op := 0; op < 400; op++ {
+			v := cnf.Var(rng.Intn(n) + 1)
+			switch rng.Intn(4) {
+			case 0:
+				a.push(v)
+				b.push(v)
+			case 1:
+				if a.empty() {
+					continue
+				}
+				if a.pop() != b.pop() {
+					return false
+				}
+			default:
+				// Coarse increments make ties common; the occasional
+				// rescale mirrors bumpVar's overflow guard.
+				inc := float64(rng.Intn(3))
+				actA[v] += inc
+				actB[v] += inc
+				if rng.Intn(50) == 0 {
+					for i := range actA {
+						actA[i] *= 1e-100
+						actB[i] *= 1e-100
+					}
+				}
+				a.increased(v)
+				b.update(v)
+			}
+			if !slices.Equal(a.heap, b.heap) || !slices.Equal(a.indices, b.indices) {
+				return false
+			}
 		}
 		return true
 	}

@@ -22,7 +22,7 @@ const (
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	s.conflictSet = nil
 	s.partial = false
-	s.model = nil
+	s.model = s.model[:0] // no model until the next Sat answer; the storage stays
 	if !s.ok {
 		return Unsat
 	}
@@ -77,19 +77,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		limit := s.restartLimit(restart)
 		st := s.search(limit)
 		if st == Sat {
-			// make+copy between locals compiles to one allocation
-			// that is never zeroed; spelled through the fields it is
-			// cleared first, and the model is as long as the solver's
-			// whole variable history.
-			src := s.assigns
-			m := make(cnf.Assignment, len(src))
-			copy(m, src)
-			s.model = m
-			// Variables eliminated in-search are unassigned in the
-			// search's model; reconstruct their values from the removed
-			// clauses (newest elimination first). (Retired variables
-			// are parked at a value already.)
-			s.reconstructModel()
+			s.captureModel()
 			return st
 		}
 		if st != Unknown {
@@ -115,6 +103,45 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 			return Unsat
 		}
 	}
+}
+
+// captureModel copies the satisfying assignment out of the search into
+// s.model, indexed by variable. A solver used incrementally has a
+// variable history far longer than its live formula, so the copy must
+// run at memmove speed over the history and touch one by one only what
+// is live — which a strided pass over vals, or a walk of the whole
+// trail with its ever-growing level-0 prefix, does not. modelBase
+// therefore holds, by variable, what can never change again: the value
+// of everything fixed at level 0 (folded in here, each trail entry
+// once in the solver's life), and False everywhere else — the value a
+// retired variable is parked at. On top of a copy of it go the live
+// assignments (the trail above level 0) and the eliminated variables
+// (reconstructed from the removed clauses, newest elimination first).
+// Under a theory nothing is ever retired and a model may be partial, so
+// there the base's filler is Undef.
+func (s *Solver) captureModel() {
+	filler := cnf.False
+	if s.theory != nil {
+		filler = cnf.Undef
+	}
+	if len(s.modelBase) == 0 {
+		s.modelBase = append(s.modelBase, cnf.Undef) // index 0 is no variable
+	}
+	s.modelBase = growSlice(s.modelBase, s.NumVars()+1, filler)
+	fixed := len(s.trail)
+	if s.decisionLevel() > 0 {
+		fixed = s.trailLim[0]
+	}
+	for _, l := range s.trail[s.modelFixed:fixed] {
+		s.modelBase[l.Var()] = cnf.FromBool(!l.IsNeg())
+	}
+	s.modelFixed = fixed
+	// Into the previous model's storage, unless TakeModel gave it away.
+	s.model = append(s.model[:0], s.modelBase...)
+	for _, l := range s.trail[fixed:] {
+		s.model[l.Var()] = cnf.FromBool(!l.IsNeg())
+	}
+	s.reconstructModel()
 }
 
 // SolveFormulaOnce is a convenience for one-shot solving of f.
@@ -421,7 +448,7 @@ func (s *Solver) meanActivity(refs []CRef) float64 {
 
 // pickBranchLit implements the configured Decide() heuristic.
 func (s *Solver) pickBranchLit() cnf.Lit {
-	if s.opts.RandomFreq > 0 && s.rng.Float64() < s.opts.RandomFreq {
+	if s.opts.RandomFreq > 0 && s.random().Float64() < s.opts.RandomFreq {
 		if l := s.randomLit(); l != cnf.LitUndef {
 			return l
 		}
@@ -433,7 +460,7 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 		}
 	case DecideOrdered:
 		for v := cnf.Var(1); int(v) <= s.NumVars(); v++ {
-			if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
+			if s.Value(v) == cnf.Undef && s.varFlags[v] == 0 {
 				return cnf.NegLit(v)
 			}
 		}
@@ -447,7 +474,7 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 	// their values reconstructed at Sat time.
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
+		if s.Value(v) == cnf.Undef && s.varFlags[v] == 0 {
 			return cnf.NewLit(v, !s.phase[v])
 		}
 	}
@@ -461,14 +488,14 @@ func (s *Solver) randomLit() cnf.Lit {
 	}
 	// Try random probes, then fall back to a scan.
 	for try := 0; try < 10; try++ {
-		v := cnf.Var(s.rng.Intn(n) + 1)
-		if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
-			return cnf.NewLit(v, s.rng.Intn(2) == 0)
+		v := cnf.Var(s.random().Intn(n) + 1)
+		if s.Value(v) == cnf.Undef && s.varFlags[v] == 0 {
+			return cnf.NewLit(v, s.random().Intn(2) == 0)
 		}
 	}
 	for v := cnf.Var(1); int(v) <= n; v++ {
-		if s.assigns[v] == cnf.Undef && s.varFlags[v] == 0 {
-			return cnf.NewLit(v, s.rng.Intn(2) == 0)
+		if s.Value(v) == cnf.Undef && s.varFlags[v] == 0 {
+			return cnf.NewLit(v, s.random().Intn(2) == 0)
 		}
 	}
 	return cnf.LitUndef
@@ -490,7 +517,7 @@ func (s *Solver) dlisLit() cnf.Lit {
 	best := cnf.LitUndef
 	bestCount := -1
 	for v := cnf.Var(1); int(v) <= s.NumVars(); v++ {
-		if s.assigns[v] != cnf.Undef || s.varFlags[v] != 0 {
+		if s.Value(v) != cnf.Undef || s.varFlags[v] != 0 {
 			continue
 		}
 		for _, l := range []cnf.Lit{cnf.PosLit(v), cnf.NegLit(v)} {

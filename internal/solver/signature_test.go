@@ -57,7 +57,7 @@ func unrollBMC(q *bmc.Sequential, depth int) *cnf.Formula {
 	return f
 }
 
-func miterCNF(t *testing.T, a, b *circuit.Circuit) *cnf.Formula {
+func miterCNF(t testing.TB, a, b *circuit.Circuit) *cnf.Formula {
 	t.Helper()
 	m, out, err := cec.BuildMiter(a, b)
 	if err != nil {
@@ -72,7 +72,7 @@ func miterCNF(t *testing.T, a, b *circuit.Circuit) *cnf.Formula {
 // and multiplier miters, BMC unrollings (one violated, one safe), under
 // the default configuration plus the inprocessing engine with variable
 // elimination (the other user of the per-variable decision flags).
-func signatureTier(t *testing.T) []struct {
+func signatureTier(t testing.TB) []struct {
 	name string
 	f    *cnf.Formula
 	opts solver.Options
@@ -147,4 +147,26 @@ func TestGoldenSearchSignatures(t *testing.T) {
 			t.Errorf("search drifted on %s:\n got  %+v\n want %+v", got[i].Instance, got[i], want[i])
 		}
 	}
+}
+
+// BenchmarkSolverTier loads and solves the whole signature tier once
+// per iteration: the solver layer's own number, outside satbench. Run
+// with -benchmem; props/s and ns/conflict are over load + search, the
+// way satbench's solver.props_per_s and solver.ns_per_conflict are.
+func BenchmarkSolverTier(b *testing.B) {
+	tier := signatureTier(b)
+	var props, conflicts int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range tier {
+			s := solver.FromFormula(in.f, in.opts)
+			s.Solve()
+			props += s.Stats.Propagations
+			conflicts += s.Stats.Conflicts
+		}
+	}
+	el := b.Elapsed()
+	b.ReportMetric(float64(props)/el.Seconds(), "props/s")
+	b.ReportMetric(float64(el.Nanoseconds())/float64(conflicts), "ns/conflict")
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,7 +46,7 @@ type Theory interface {
 // variables and clauses added in between (§6: iterative/incremental use).
 type Solver struct {
 	opts Options
-	rng  *rand.Rand
+	rng  *rand.Rand // created on first use (random): most configurations never draw
 
 	// Problem state. All clauses live in the flat arena db (which also
 	// owns the per-tier learnt rosters); the watcher stores and the
@@ -56,13 +57,15 @@ type Solver struct {
 	binWatches watchStore // binary watcher pages (blocker = the implied literal)
 	occList    [][]CRef   // static occurrence lists (DLIS only), by lit index
 
-	// Slice-of-slices watcher lists, used only under
-	// Options.LegacyWatcherStore (the BenchmarkE32 baseline).
-	legacyWatches [][]watcher
-	legacyBin     [][]watcher
+	// vals is the assignment, indexed by literal: an assigned variable
+	// holds True at the literal that is true and False at its
+	// complement, an unassigned one Undef at both, so the value of a
+	// literal is one byte load. uncheckedEnqueue writes the pair,
+	// cancelUntil clears it; the level-0 sweep parks a retired variable
+	// at False off the trail (sweep.go).
+	vals []cnf.LBool
 
 	// Assignment state, indexed by variable.
-	assigns  []cnf.LBool
 	level    []int32
 	reason   []CRef
 	phase    []bool // saved polarity
@@ -92,7 +95,12 @@ type Solver struct {
 	ok      bool // false once the clause set is trivially unsat
 	theory  Theory
 	partial bool           // last model is partial (theory early stop)
-	model   cnf.Assignment // satisfying assignment copied at Sat time
+	model   cnf.Assignment // satisfying assignment copied at Sat time; empty = none
+
+	// What captureModel starts every model from: the values of the
+	// level-0 trail prefix trail[:modelFixed], a filler elsewhere.
+	modelBase  cnf.Assignment
+	modelFixed int
 
 	startConflicts int64 // per-Solve budget baselines
 	startDecisions int64
@@ -125,6 +133,13 @@ type Solver struct {
 	analyzeToClr []cnf.Lit
 	learntBuf    []cnf.Lit
 
+	// lbdMark[d] == lbdEpoch marks decision level d as counted by the
+	// running lbd call.
+	lbdMark  []uint32
+	lbdEpoch uint32
+
+	addBuf []cnf.Lit // AddClause's normalization scratch
+
 	Stats Stats
 }
 
@@ -136,7 +151,6 @@ func New(n int, opts Options) *Solver {
 		claInc: 1.0,
 		ok:     true,
 	}
-	s.rng = rand.New(rand.NewSource(s.opts.Seed))
 	s.order = newVarHeap(&s.activity)
 	if s.opts.Proof != nil {
 		s.proof = s.opts.Proof
@@ -144,15 +158,26 @@ func New(n int, opts Options) *Solver {
 		s.proofLog = &Proof{}
 		s.proof = s.proofLog
 	}
-	s.watches.init(s.opts.WatchPageSize)
-	s.binWatches.init(s.opts.WatchPageSize)
 	s.growTo(n)
 	return s
 }
 
-// FromFormula creates a solver loaded with all clauses of f.
+// FromFormula creates a solver loaded with all clauses of f. The clause
+// roster and the arena are sized from f's counts, so loading allocates
+// each once.
 func FromFormula(f *cnf.Formula, opts Options) *Solver {
 	s := New(f.NumVars(), opts)
+	words, long := 0, 0
+	for _, c := range f.Clauses {
+		words += clsHdrWords + len(c)
+		if len(c) > 2 {
+			long++
+		}
+	}
+	s.db.arena = make([]cnf.Lit, 0, words)
+	s.clauses = make([]CRef, 0, len(f.Clauses))
+	s.watches.prealloc(2 * long)
+	s.binWatches.prealloc(2 * (len(f.Clauses) - long))
 	for _, c := range f.Clauses {
 		s.AddClause(c)
 	}
@@ -160,7 +185,7 @@ func FromFormula(f *cnf.Formula, opts Options) *Solver {
 }
 
 // NumVars returns the number of variables known to the solver.
-func (s *Solver) NumVars() int { return len(s.assigns) - 1 }
+func (s *Solver) NumVars() int { return len(s.level) - 1 }
 
 // NewVar adds a fresh variable and returns it.
 func (s *Solver) NewVar() cnf.Var {
@@ -168,34 +193,56 @@ func (s *Solver) NewVar() cnf.Var {
 	return cnf.Var(s.NumVars())
 }
 
+// growTo extends every per-variable and per-literal structure to n
+// variables, each with one allocation (New's whole variable range) or
+// append's amortized growth (NewVar's one at a time).
 func (s *Solver) growTo(n int) {
-	for len(s.assigns) < n+1 {
-		s.assigns = append(s.assigns, cnf.Undef)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, CRefUndef)
-		s.phase = append(s.phase, false)
-		s.activity = append(s.activity, 0)
-		s.seen = append(s.seen, 0)
-		s.varFlags = append(s.varFlags, 0)
-		v := cnf.Var(len(s.assigns) - 1)
-		if v >= 1 {
-			s.order.push(v)
-		}
+	first := s.NumVars() + 1
+	if n < first {
+		return
+	}
+	s.vals = growSlice(s.vals, 2*(n+1), cnf.Undef)
+	s.level = growSlice(s.level, n+1, 0)
+	s.reason = growSlice(s.reason, n+1, CRefUndef)
+	s.phase = growSlice(s.phase, n+1, false)
+	s.activity = growSlice(s.activity, n+1, 0)
+	s.seen = growSlice(s.seen, n+1, 0)
+	s.varFlags = growSlice(s.varFlags, n+1, 0)
+	s.trail = slices.Grow(s.trail, n-len(s.trail)) // a full assignment fits
+	s.order.reserve(n)
+	for v := max(first, 1); v <= n; v++ {
+		s.order.push(cnf.Var(v))
 	}
 	// The DLIS occurrence lists exist from the first DLIS Solve on;
 	// variables added after it need their (empty) lists too.
-	for s.dlisOcc && len(s.occList) < 2*(n+1) {
-		s.occList = append(s.occList, nil)
-	}
-	if s.opts.LegacyWatcherStore {
-		for len(s.legacyWatches) < 2*(n+1) {
-			s.legacyWatches = append(s.legacyWatches, nil)
-			s.legacyBin = append(s.legacyBin, nil)
-		}
-		return
+	if s.dlisOcc {
+		s.occList = growSlice(s.occList, 2*(n+1), nil)
 	}
 	s.watches.growLits(2 * (n + 1))
 	s.binWatches.growLits(2 * (n + 1))
+}
+
+// growSlice extends s to length n (no-op when it is that long already),
+// filling the new tail with fill.
+func growSlice[T any](s []T, n int, fill T) []T {
+	if n <= len(s) {
+		return s
+	}
+	s = slices.Grow(s, n-len(s))
+	for len(s) < n {
+		s = append(s, fill)
+	}
+	return s
+}
+
+// random returns the solver's deterministic PRNG, seeded from
+// Options.Seed on the first draw (seeding costs more than loading a
+// small formula does).
+func (s *Solver) random() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.opts.Seed))
+	}
+	return s.rng
 }
 
 // SetTheory installs a structural theory layer. It must be installed
@@ -211,16 +258,16 @@ func (s *Solver) Okay() bool { return s.ok }
 // value that outlives further Solve/AddClause calls use Model, which
 // copies. (A variable the level-0 sweep retired reads False throughout:
 // it is in no clause, and that is the value models give it.)
-func (s *Solver) Value(v cnf.Var) cnf.LBool { return s.assigns[v] }
+func (s *Solver) Value(v cnf.Var) cnf.LBool { return s.vals[cnf.PosLit(v)] }
 
 // LitValue returns the value of literal l under the same live-state
 // rules as Value.
-func (s *Solver) LitValue(l cnf.Lit) cnf.LBool {
-	v := s.assigns[l.Var()]
-	if l.IsNeg() {
-		return v.Not()
-	}
-	return v
+func (s *Solver) LitValue(l cnf.Lit) cnf.LBool { return s.vals[l] }
+
+// setVar writes variable v's value into both of its literals' slots.
+func (s *Solver) setVar(v cnf.Var, b cnf.LBool) {
+	s.vals[cnf.PosLit(v)] = b
+	s.vals[cnf.NegLit(v)] = b.Not()
 }
 
 // Model returns a copy of the satisfying assignment captured by the last
@@ -228,7 +275,7 @@ func (s *Solver) LitValue(l cnf.Lit) cnf.LBool {
 // the search early the model may be partial (contain Undef entries):
 // exactly the non-overspecified patterns of §5.
 func (s *Solver) Model() cnf.Assignment {
-	if s.model == nil {
+	if len(s.model) == 0 {
 		return nil
 	}
 	return s.model.Clone()
@@ -242,6 +289,9 @@ func (s *Solver) Model() cnf.Assignment {
 func (s *Solver) TakeModel() cnf.Assignment {
 	m := s.model
 	s.model = nil
+	if len(m) == 0 {
+		return nil
+	}
 	return m
 }
 
@@ -272,7 +322,10 @@ func (s *Solver) AddClause(lits cnf.Clause) bool {
 	if mv := int(lits.MaxVar()); mv > s.NumVars() {
 		s.growTo(mv)
 	}
-	norm, taut := lits.Normalize()
+	// Normalize a solver-owned copy: the arena takes its own copy of
+	// what survives, so one buffer serves every clause.
+	s.addBuf = append(s.addBuf[:0], lits...)
+	norm, taut := cnf.Clause(s.addBuf).NormalizeInPlace()
 	if taut {
 		return true
 	}
@@ -303,7 +356,7 @@ func (s *Solver) wake(lits []cnf.Lit) {
 		v := l.Var()
 		if s.varFlags[v]&varRetired != 0 {
 			s.varFlags[v] &^= varRetired
-			s.assigns[v] = cnf.Undef
+			s.setVar(v, cnf.Undef)
 			s.sweepSt.retired--
 			s.order.push(v)
 		}
@@ -364,10 +417,6 @@ func (s *Solver) addClauseCore(norm cnf.Clause) bool {
 }
 
 func (s *Solver) attach(c CRef) {
-	if s.opts.LegacyWatcherStore {
-		s.attachLegacy(c)
-		return
-	}
 	lits := s.db.lits(c)
 	if len(lits) == 2 {
 		s.binWatches.push(lits[0].Not().Index(), watcher{c, lits[1]})
@@ -387,7 +436,8 @@ func (s *Solver) attach(c CRef) {
 // antecedent (CRefUndef for decisions and top-level facts).
 func (s *Solver) uncheckedEnqueue(l cnf.Lit, from CRef) {
 	v := l.Var()
-	s.assigns[v] = cnf.FromBool(!l.IsNeg())
+	s.vals[l] = cnf.True
+	s.vals[l.Not()] = cnf.False
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -408,9 +458,7 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from CRef) {
 // data slice is therefore reloaded after every push. Page offsets are
 // stable across pushes, so the walk itself never restarts.
 func (s *Solver) propagate() CRef {
-	if s.opts.LegacyWatcherStore {
-		return s.propagateLegacy()
-	}
+	vals := s.vals // uncheckedEnqueue writes through the same array
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -421,7 +469,7 @@ func (s *Solver) propagate() CRef {
 		// watcher, so this loop never dereferences the arena. No pushes
 		// happen here, so holding the page slice is safe.
 		for _, bw := range s.binWatches.list(pi) {
-			switch s.LitValue(bw.blocker) {
+			switch vals[bw.blocker] {
 			case cnf.True:
 			case cnf.False:
 				s.qhead = len(s.trail)
@@ -438,7 +486,7 @@ func (s *Solver) propagate() CRef {
 	watchLoop:
 		for i < len(ws) {
 			w := ws[i]
-			if s.LitValue(w.blocker) == cnf.True {
+			if vals[w.blocker] == cnf.True {
 				ws[j] = w
 				i++
 				j++
@@ -454,7 +502,7 @@ func (s *Solver) propagate() CRef {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.LitValue(first) == cnf.True {
+			if first != w.blocker && vals[first] == cnf.True {
 				ws[j] = watcher{w.cref, first}
 				i++
 				j++
@@ -464,7 +512,7 @@ func (s *Solver) propagate() CRef {
 			// (watchStore.push is just over the compiler's inline
 			// budget and this is the one hot call site).
 			for k := 2; k < len(lits); k++ {
-				if s.LitValue(lits[k]) != cnf.False {
+				if vals[lits[k]] != cnf.False {
 					lits[1], lits[k] = lits[k], lits[1]
 					nli := lits[1].Not().Index()
 					nr := &s.watches.ref[nli]
@@ -484,7 +532,7 @@ func (s *Solver) propagate() CRef {
 			ws[j] = watcher{w.cref, first}
 			i++
 			j++
-			if s.LitValue(first) == cnf.False {
+			if vals[first] == cnf.False {
 				confl = w.cref
 				s.qhead = len(s.trail)
 				break
@@ -516,15 +564,19 @@ func (s *Solver) cancelUntil(lvl int) {
 		if !s.opts.NoPhaseSaving {
 			s.phase[v] = !l.IsNeg()
 		}
-		if r := s.reason[v]; r != CRefUndef && s.db.temp(r) && !s.db.deleted(r) {
-			// NoLearning: the recorded clause dies with its assignment.
-			// Temp clauses are never attached to watch lists, so the
-			// tombstone suffices; the arena GC reclaims the words.
-			s.db.markDeleted(r)
+		if s.opts.NoLearning {
+			// The recorded clause dies with its assignment. Temp
+			// clauses exist only here and are never attached to watch
+			// lists, so the tombstone suffices; the arena GC reclaims
+			// the words.
+			if r := s.reason[v]; r != CRefUndef && s.db.temp(r) && !s.db.deleted(r) {
+				s.db.markDeleted(r)
+			}
 		}
-		s.assigns[v] = cnf.Undef
+		s.vals[l] = cnf.Undef
+		s.vals[l.Not()] = cnf.Undef
 		s.reason[v] = CRefUndef
-		s.order.pushIfAbsent(v)
+		s.order.push(v)
 		if s.theory != nil {
 			s.theory.OnUnassign(l)
 		}
@@ -563,31 +615,26 @@ func (s *Solver) garbageCollect() {
 	for i, c := range s.clauses {
 		s.clauses[i] = s.db.forward(c)
 	}
-	if s.opts.LegacyWatcherStore {
-		s.patchWatchesLegacy()
-	} else {
-		// Watcher pages may still reference tombstoned clauses (lazy
-		// deletion; in the binary store only level-0-satisfied clauses
-		// the sweep dropped): those watchers die here, and mostly-empty
-		// pages are exchanged for smaller ones (old page onto the free
-		// chain) by shrink — the GC sweep is the one place pages give
-		// memory back.
-		for _, st := range [...]*watchStore{&s.watches, &s.binWatches} {
-			for _, li := range st.used {
-				r := st.ref[li]
-				data := st.data
-				w := uint32(0)
-				for i := uint32(0); i < r.n; i++ {
-					x := data[r.off+i]
-					if s.db.deleted(x.cref) {
-						continue
-					}
-					x.cref = s.db.forward(x.cref)
-					data[r.off+w] = x
-					w++
+	// Watcher pages may still reference tombstoned clauses (lazy
+	// deletion; in the binary store only level-0-satisfied clauses the
+	// sweep dropped): those watchers die here, and mostly-empty pages
+	// are exchanged for smaller ones (old page onto the free chain) by
+	// shrink — the GC sweep is the one place pages give memory back.
+	for _, st := range [...]*watchStore{&s.watches, &s.binWatches} {
+		for _, li := range st.used {
+			r := st.ref[li]
+			data := st.data
+			w := uint32(0)
+			for i := uint32(0); i < r.n; i++ {
+				x := data[r.off+i]
+				if s.db.deleted(x.cref) {
+					continue
 				}
-				st.shrink(int(li), w)
+				x.cref = s.db.forward(x.cref)
+				data[r.off+w] = x
+				w++
 			}
+			st.shrink(int(li), w)
 		}
 	}
 	// Locked antecedents survive by construction (reduceDB never deletes
@@ -618,8 +665,7 @@ func (s *Solver) garbageCollect() {
 	// Relocation invalidates the inprocessing occurrence index (compact
 	// cleared the membership flags); it is rebuilt lazily next round.
 	s.inproc.dropOccIndex()
-	s.db.arena = newArena
-	s.db.wasted = 0
+	s.db.adopt(newArena)
 	s.Stats.ArenaGCs++
 }
 
@@ -631,7 +677,7 @@ func (s *Solver) bumpVar(v cnf.Var) {
 		}
 		s.varInc *= 1e-100
 	}
-	s.order.update(v)
+	s.order.increased(v)
 }
 
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }

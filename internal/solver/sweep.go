@@ -37,7 +37,7 @@ import (
 // The first Solve on a solver never sweeps, so a one-shot solve runs
 // exactly the search it ran without this file. The sweep is skipped
 // where inprocessing is structurally gated as well (a theory observing
-// assignments, NoLearning's temp clauses, the legacy watcher store).
+// assignments, NoLearning's temp clauses).
 //
 // Cost: one pass over the live clauses plus one over the dropped ones —
 // never over every variable allocated. The trigger (additions reach a
@@ -90,7 +90,7 @@ func (s *Solver) maybeSweep() {
 		sw.live = len(s.clauses) + s.db.learntCount()
 		return
 	}
-	if s.opts.NoLearning || s.opts.LegacyWatcherStore || s.theory != nil {
+	if s.opts.NoLearning || s.theory != nil {
 		return
 	}
 	if sw.added == 0 || sw.added*sweepFraction < sw.live {
@@ -107,9 +107,7 @@ func (s *Solver) sweep() {
 		clear(sw.stamp)
 		sw.epoch = 1
 	}
-	for len(sw.stamp) < len(s.assigns) {
-		sw.stamp = append(sw.stamp, 0)
-	}
+	sw.stamp = growSlice(sw.stamp, s.NumVars()+1, 0)
 	// The query about to run may assume variables no kept clause holds.
 	for _, a := range s.assumptions {
 		sw.stamp[a.Var()] = sw.epoch
@@ -132,7 +130,7 @@ func (s *Solver) sweep() {
 			if s.reason[v] == c {
 				s.reason[v] = CRefUndef
 			}
-			if s.assigns[v] == cnf.Undef && sw.stamp[v] != sw.epoch && s.varFlags[v] == 0 {
+			if s.Value(v) == cnf.Undef && sw.stamp[v] != sw.epoch && s.varFlags[v] == 0 {
 				s.retire(v)
 			}
 		}
@@ -182,7 +180,7 @@ func (s *Solver) sweepRoster(refs []CRef) []CRef {
 // of the decision heuristics and parks it at False.
 func (s *Solver) retire(v cnf.Var) {
 	s.varFlags[v] |= varRetired
-	s.assigns[v] = cnf.False
+	s.setVar(v, cnf.False)
 	s.level[v] = 0
 	s.sweepSt.retired++
 	s.Stats.RetiredVars++

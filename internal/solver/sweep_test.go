@@ -33,6 +33,7 @@ func newGuardedRun(t *testing.T, nVars int, opts Options) *guardedRun {
 func (g *guardedRun) addPermanent(cl cnf.Clause) {
 	g.base = append(g.base, cl)
 	g.s.AddClause(cl)
+	checkValues(g.t, g.s)
 }
 
 // solveGroup runs one add/solve/retire round and returns the verdict.
@@ -42,6 +43,7 @@ func (g *guardedRun) solveGroup(group []cnf.Clause) Status {
 	act := g.s.NewVar()
 	for _, cl := range group {
 		g.s.AddClause(append(cl.Clone(), cnf.NegLit(act)))
+		checkValues(g.t, g.s)
 	}
 	live := cnf.New(g.nVars)
 	for _, cl := range g.base {
@@ -53,7 +55,8 @@ func (g *guardedRun) solveGroup(group []cnf.Clause) Status {
 	}
 	want, _ := cnf.BruteForce(live)
 
-	st := g.s.Solve(cnf.PosLit(act))
+	st := g.s.Solve(cnf.PosLit(act)) // a repeat Solve sweeps first
+	checkValues(g.t, g.s)
 	where := fmt.Sprintf("round %d (opts %+v)", g.round, g.s.opts)
 	switch st {
 	case Sat:
@@ -90,13 +93,24 @@ func (g *guardedRun) solveGroup(group []cnf.Clause) Status {
 		g.t.Fatalf("%s: complete configuration returned Unknown", where)
 	}
 	g.s.AddClause(cnf.Clause{cnf.NegLit(act)})
-	if g.round%4 == 0 && !g.s.opts.LegacyWatcherStore {
+	checkValues(g.t, g.s)
+	if g.round%4 == 0 {
 		// After a compaction every watcher is live again: no clause may
 		// have lost one to a released page, no antecedent may dangle.
 		g.s.garbageCollect()
 		checkWatchConsistency(g.t, g.s)
 		checkWatchCompleteness(g.t, g.s)
 		checkReasonConsistency(g.t, g.s)
+	}
+	if g.round%3 == 0 {
+		// Carry on with a fork: checkpoint and restore must hand over
+		// the assignment, retired variables included. (A solver logging
+		// a proof cannot be checkpointed and carries on itself.)
+		if fork, err := g.s.Clone(); err == nil {
+			checkValues(g.t, g.s)
+			checkValues(g.t, fork)
+			g.s = fork
+		}
 	}
 	return st
 }

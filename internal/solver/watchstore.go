@@ -17,14 +17,13 @@ package solver
 //	used:  the literals that currently own a page    one flat []uint32
 //	free:  per size class k, head of a free-page chain
 //
-// Pages have power-of-two capacities pageSize<<k (pageSize is the
-// Options.WatchPageSize knob). A list that outgrows its page moves to a
-// page of the next class and the old page is pushed onto its class's
-// free chain; a list that shrinks below a quarter of its capacity
-// (propagate's truncate, GC sweeps) moves back down and likewise donates
-// its page. Free chains are threaded through the dead pages themselves
-// (the first slot's cref field holds the next free page's offset), so
-// the free lists cost no extra memory.
+// Pages have power-of-two capacities watchPageSize<<k. A list that
+// outgrows its page moves to a page of the next class and the old page
+// is pushed onto its class's free chain; a list that shrinks below a
+// quarter of its capacity (propagate's truncate, GC sweeps) moves back
+// down and likewise donates its page. Free chains are threaded through
+// the dead pages themselves (the first slot's cref field holds the next
+// free page's offset), so the free lists cost no extra memory.
 //
 // The used roster is what keeps whole-store sweeps (the arena GC's patch
 // pass) proportional to the lists that exist rather than to every
@@ -52,6 +51,10 @@ package solver
 // noPage marks an empty free chain / end of chain.
 const noPage = ^uint32(0)
 
+// watchPageSize is the minimum page capacity in slots (a power of two).
+// The search does not depend on it, only the paging does.
+const watchPageSize = 4
+
 // watchRef is one literal's page header: the watchers of the literal
 // occupy data[off : off+n] inside a page of capacity cap slots.
 // cap == 0 means the literal owns no page (never watched, or released);
@@ -64,48 +67,48 @@ type watchRef struct {
 }
 
 // watchStore is a flat, paged store of per-literal watcher lists. The
-// zero value must be initialized with init before use. It is owned by a
-// single solver goroutine; none of its methods are safe for concurrent
-// use.
+// zero value is an empty store. It is owned by a single solver
+// goroutine; none of its methods are safe for concurrent use.
 type watchStore struct {
-	pageSize uint32     // minimum page capacity in slots (power of two)
-	data     []watcher  // every page, back to back
-	ref      []watchRef // per-literal page headers, indexed by Lit.Index()
-	used     []uint32   // literal indices owning a page, in no particular order
-	free     []uint32   // per size class k (cap pageSize<<k): free-chain head
-}
-
-// init sets the minimum page capacity, rounding pageSize up to a power
-// of two. Values < 2 select the default of 4; values beyond maxPageSize
-// are clamped (also guarding the doubling loop against uint32 overflow
-// on absurd inputs).
-func (st *watchStore) init(pageSize int) {
-	const maxPageSize = 1 << 20
-	ps := uint32(4)
-	if pageSize >= 2 {
-		if pageSize > maxPageSize {
-			pageSize = maxPageSize
-		}
-		ps = 2
-		for int(ps) < pageSize {
-			ps <<= 1
-		}
-	}
-	st.pageSize = ps
+	data []watcher  // every page, back to back
+	ref  []watchRef // per-literal page headers, indexed by Lit.Index()
+	used []uint32   // literal indices owning a page, in no particular order
+	free []uint32   // per size class k (cap watchPageSize<<k): free-chain head
 }
 
 // growLits ensures page headers exist for literal indices [0, n).
 // Fresh literals start with no page (cap 0).
 func (st *watchStore) growLits(n int) {
-	for len(st.ref) < n {
-		st.ref = append(st.ref, watchRef{})
+	st.ref = growSlice(st.ref, n, watchRef{})
+}
+
+// prealloc gives every literal of an empty store its first page, sized
+// for an even share of the n watchers about to be pushed, in one
+// allocation with as much again spare: a store whose load is known up
+// front (FromFormula) does not climb there page by page, leaving each
+// outgrown page dead on a free chain no other list will ever want.
+func (st *watchStore) prealloc(n int) {
+	lits := len(st.ref) - 2 // variable 0 has none
+	if n == 0 || lits <= 0 {
+		return
+	}
+	k := st.class(uint32((n + lits - 1) / lits))
+	pageCap := uint32(watchPageSize) << k
+	st.free = growSlice(st.free, k+1, noPage)
+	st.data = make([]watcher, lits*int(pageCap), 2*lits*int(pageCap))
+	st.used = make([]uint32, lits)
+	for i := range st.used {
+		li := uint32(i + 2)
+		st.used[i] = li
+		st.ref[li] = watchRef{off: uint32(i) * pageCap, cap: pageCap, pos: uint32(i)}
 	}
 }
 
-// class returns the size class k of a page capacity (cap = pageSize<<k).
+// class returns the size class k of a page capacity (cap =
+// watchPageSize<<k).
 func (st *watchStore) class(cap uint32) int {
 	k := 0
-	for c := st.pageSize; c < cap; c <<= 1 {
+	for c := uint32(watchPageSize); c < cap; c <<= 1 {
 		k++
 	}
 	return k
@@ -117,14 +120,12 @@ func (st *watchStore) class(cap uint32) int {
 // otherwise. Slot contents of a reused page are stale; callers track
 // liveness through watchRef.n.
 func (st *watchStore) allocPage(k int) uint32 {
-	for len(st.free) <= k {
-		st.free = append(st.free, noPage)
-	}
+	st.free = growSlice(st.free, k+1, noPage)
 	if off := st.free[k]; off != noPage {
 		st.free[k] = uint32(st.data[off].cref)
 		return off
 	}
-	need := int(st.pageSize) << k
+	need := watchPageSize << k
 	if cap(st.data)-len(st.data) < need {
 		grown := make([]watcher, len(st.data), 2*cap(st.data)+need)
 		copy(grown, st.data)
@@ -163,7 +164,7 @@ func (st *watchStore) grow(li int) {
 	r := &st.ref[li]
 	if r.cap == 0 {
 		r.off = st.allocPage(0)
-		r.cap = st.pageSize
+		r.cap = watchPageSize
 		r.pos = uint32(len(st.used))
 		st.used = append(st.used, uint32(li))
 		return
@@ -195,8 +196,8 @@ func (st *watchStore) truncate(li int, n uint32) {
 func (st *watchStore) shrink(li int, n uint32) {
 	r := &st.ref[li]
 	r.n = n
-	if r.cap > st.pageSize && n*4 <= r.cap {
-		target := st.pageSize
+	if r.cap > watchPageSize && n*4 <= r.cap {
+		target := uint32(watchPageSize)
 		for target < n*2 {
 			target <<= 1
 		}
@@ -254,7 +255,7 @@ func (st *watchStore) list(li int) []watcher {
 }
 
 // freePages counts the pages currently parked on the free chains,
-// per class (index k = capacity pageSize<<k). Test/diagnostic helper.
+// per class (index k = capacity watchPageSize<<k). Test/diagnostic helper.
 func (st *watchStore) freePages() []int {
 	counts := make([]int, len(st.free))
 	for k, off := range st.free {

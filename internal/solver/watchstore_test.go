@@ -14,7 +14,6 @@ import (
 // isolated from its neighbours.
 func TestWatchStorePushAndList(t *testing.T) {
 	var st watchStore
-	st.init(4)
 	const lits, per = 50, 23
 	st.growLits(lits)
 	for i := 0; i < per; i++ {
@@ -35,27 +34,11 @@ func TestWatchStorePushAndList(t *testing.T) {
 	}
 }
 
-// TestWatchStorePageSizeRounding checks the init rounding rules: powers
-// of two pass through, others round up, tiny/zero select the default.
-func TestWatchStorePageSizeRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 4}, {1, 4}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16}, {64, 64},
-		{3_000_000_000, 1 << 20}, // clamped, and must not hang the doubling loop
-	} {
-		var st watchStore
-		st.init(tc.in)
-		if int(st.pageSize) != tc.want {
-			t.Fatalf("init(%d): pageSize %d, want %d", tc.in, st.pageSize, tc.want)
-		}
-	}
-}
-
 // TestWatchStoreGrowFreesOldPage verifies the grow path donates the
 // outgrown page to its class's free chain and that a later allocation
 // of that class reuses it instead of extending the backing slice.
 func TestWatchStoreGrowFreesOldPage(t *testing.T) {
 	var st watchStore
-	st.init(4)
 	st.growLits(4)
 	for i := 0; i < 5; i++ { // fifth push grows lit 0 from cap 4 to cap 8
 		st.push(0, watcher{CRef(i), 0})
@@ -85,7 +68,6 @@ func TestWatchStoreGrowFreesOldPage(t *testing.T) {
 // one joins the free chain, ready for reuse.
 func TestWatchStoreShrinkReleasesPage(t *testing.T) {
 	var st watchStore
-	st.init(4)
 	st.growLits(2)
 	for i := 0; i < 33; i++ { // cap grows 4→8→16→32→64
 		st.push(0, watcher{CRef(i), 0})
@@ -118,6 +100,49 @@ func TestWatchStoreShrinkReleasesPage(t *testing.T) {
 	}
 	if st.freePages()[k] != 0 {
 		t.Fatalf("cap-64 page still on the free chain after reuse: %v", st.freePages())
+	}
+}
+
+// TestWatchStorePrealloc: a preallocated store takes its whole load
+// without touching the backing slice or a free chain, keeps the lists
+// apart, and its pages join the ordinary life cycle afterwards — one
+// that is outgrown or shrunk lands on the free chain of its class.
+func TestWatchStorePrealloc(t *testing.T) {
+	var st watchStore
+	const lits, per = 20, 11 // an even share of 11 needs a 16-slot page
+	st.growLits(lits)
+	st.prealloc((lits - 2) * per)
+	base, free := &st.data[0], len(st.free)
+	for i := 0; i < per; i++ {
+		for li := 2; li < lits; li++ {
+			st.push(li, watcher{CRef(li*100 + i), cnf.Lit(li)})
+		}
+	}
+	if &st.data[0] != base || len(st.data) != (lits-2)*16 {
+		t.Fatalf("the load moved or extended the backing slice (%d slots)", len(st.data))
+	}
+	if len(st.used) != lits-2 || len(st.free) != free || st.freePages()[st.class(16)] != 0 {
+		t.Fatalf("rosters after the load: %d used, free chains %v", len(st.used), st.freePages())
+	}
+	for li := 2; li < lits; li++ {
+		ws := st.list(li)
+		if len(ws) != per || ws[0].cref != CRef(li*100) || ws[per-1].cref != CRef(li*100+per-1) {
+			t.Fatalf("lit %d: %+v", li, ws)
+		}
+	}
+	st.shrink(2, 1) // 1*4 ≤ 16: down to the smallest page
+	for i := per; i < 17; i++ {
+		st.push(3, watcher{CRef(300 + i), 3}) // the 17th outgrows the page
+	}
+	if got := st.freePages()[st.class(16)]; got != 2 {
+		t.Fatalf("%d preallocated pages on the free chain after a shrink and a grow, want 2 (%v)", got, st.freePages())
+	}
+	if ws := st.list(3); len(ws) != 17 || ws[16].cref != 316 || st.list(2)[0].cref != 200 {
+		t.Fatalf("lists corrupted by the page moves: %+v", ws)
+	}
+	st.release(4)
+	if st.ref[4].cap != 0 || len(st.used) != lits-3 {
+		t.Fatalf("release of a preallocated page: cap %d, %d used", st.ref[4].cap, len(st.used))
 	}
 }
 
@@ -239,53 +264,11 @@ func TestWatcherStorePagesShrinkUnderChurn(t *testing.T) {
 	}
 }
 
-// TestPagedMatchesLegacyStore is the differential guard: the paged
-// store and the slice-of-slices baseline must produce bit-identical
-// searches (same verdicts, same decision/conflict/propagation counts)
-// on a spread of instances, since the propagation algorithm is shared.
-func TestPagedMatchesLegacyStore(t *testing.T) {
-	instances := []*cnf.Formula{
-		gen.Pigeonhole(6),
-		gen.Random3SATHard(100, 3),
-		gen.RandomKSAT(40, 160, 3, 7),
-	}
-	for i, f := range instances {
-		paged := FromFormula(f, Options{Seed: 11})
-		legacy := FromFormula(f, Options{Seed: 11, LegacyWatcherStore: true})
-		stP, stL := paged.Solve(), legacy.Solve()
-		if stP != stL {
-			t.Fatalf("instance %d: paged=%v legacy=%v", i, stP, stL)
-		}
-		if paged.Stats != legacy.Stats {
-			t.Fatalf("instance %d: stats diverge\npaged:  %+v\nlegacy: %+v", i, paged.Stats, legacy.Stats)
-		}
-	}
-}
-
-// TestWatchPageSizeKnob solves the same instance under several page
-// sizes: the knob must not change the search, only the paging.
-func TestWatchPageSizeKnob(t *testing.T) {
-	f := gen.Random3SATHard(100, 3)
-	base := FromFormula(f, Options{Seed: 3})
-	baseSt := base.Solve()
-	for _, ps := range []int{2, 8, 64} {
-		s := FromFormula(f, Options{Seed: 3, WatchPageSize: ps})
-		if st := s.Solve(); st != baseSt || s.Stats != base.Stats {
-			t.Fatalf("WatchPageSize %d changed the search: %v vs %v", ps, s.Stats, base.Stats)
-		}
-		checkWatchConsistency(t, s)
-		checkWatchCompleteness(t, s)
-	}
-}
-
 // TestMidTierDemotionByTouchedBit checks the reduceDB satellite: mid
 // clauses untouched between reductions move to the local tier (header
 // tier bits and roster segment both), touched ones stay.
 func TestMidTierDemotionByTouchedBit(t *testing.T) {
 	s := New(10, Options{})
-	for v := cnf.Var(1); v <= 10; v++ {
-		s.assigns[v] = cnf.Undef
-	}
 	mk := func(lbd int, lits ...int) CRef {
 		cl := make([]cnf.Lit, len(lits))
 		for i, d := range lits {
