@@ -4,8 +4,10 @@
 // generated test set. The structural layer of §5 (-structural) yields
 // partially-specified patterns; -incremental shares one solver across
 // the fault list; -session runs the fault list as assumption queries
-// against one resident solve session (the same engine satserved
-// exposes over HTTP), with identical verdicts.
+// against resident solve sessions (the same engine satserved exposes
+// over HTTP), with identical verdicts. -session deals the list across
+// one session per CPU (GOMAXPROCS), at least 64 faults each, queried in
+// parallel; the report prints the shard count.
 package main
 
 import (
@@ -24,7 +26,7 @@ func main() {
 	var (
 		structural = flag.Bool("structural", false, "use the justification-frontier layer (partial patterns)")
 		incr       = flag.Bool("incremental", false, "share one solver across faults")
-		useSession = flag.Bool("session", false, "run the fault list through one resident solve session")
+		useSession = flag.Bool("session", false, "run the fault list through resident solve sessions, one per CPU")
 		faultSim   = flag.Bool("faultsim", true, "drop faults by parallel-pattern fault simulation")
 		collapse   = flag.Bool("collapse", true, "collapse equivalent faults")
 		maxConfl   = flag.Int64("max-conflicts", 0, "per-fault conflict budget")
@@ -89,6 +91,9 @@ func main() {
 	fmt.Printf("coverage    %.2f%%\n", 100*rep.Coverage())
 	fmt.Printf("tests       %d\n", len(rep.Tests))
 	fmt.Printf("sat calls   %d\n", rep.SATCalls)
+	if *useSession {
+		fmt.Printf("shards      %d\n", rep.Shards)
+	}
 	if rep.PatternBits > 0 {
 		fmt.Printf("specified   %.1f%% of pattern bits\n", 100*float64(rep.SpecifiedBits)/float64(rep.PatternBits))
 	}

@@ -14,8 +14,8 @@
 package main
 
 import (
-	"bytes"
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -90,8 +90,8 @@ func (c *collector) completed(kind string, latMS float64) {
 	c.mu.Unlock()
 }
 
-func (c *collector) shed()   { c.mu.Lock(); c.ops.Shed++; c.mu.Unlock() }
-func (c *collector) failed() { c.mu.Lock(); c.ops.Failed++; c.mu.Unlock() }
+func (c *collector) shed()    { c.mu.Lock(); c.ops.Shed++; c.mu.Unlock() }
+func (c *collector) failed()  { c.mu.Lock(); c.ops.Failed++; c.mu.Unlock() }
 func (c *collector) errored() { c.mu.Lock(); c.ops.Errors++; c.mu.Unlock() }
 
 func (c *collector) phase(name string, ms float64) {

@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
@@ -48,7 +49,8 @@ type Options struct {
 	Incremental bool
 	// FaultSim enables parallel-pattern fault simulation with fault
 	// dropping: each generated test is simulated against the remaining
-	// fault list and detected faults are dropped without SAT calls.
+	// fault list (of its shard, when the session path shards it) and
+	// detected faults are dropped without SAT calls.
 	FaultSim bool
 	// NoCollapse disables fault collapsing.
 	NoCollapse bool
@@ -85,6 +87,7 @@ type Report struct {
 	PatternBits                         int // sum over patterns of total inputs
 	Conflicts                           int64
 	Decisions                           int64
+	Shards                              int // engines the fault list was dealt across
 }
 
 // Coverage returns detected / (total - redundant), the standard fault
@@ -125,12 +128,13 @@ func TestFaultsContext(ctx context.Context, c *circuit.Circuit, faults []Fault, 
 	} else {
 		eng = oneShotEngine{c: c, opts: opts}
 	}
-	return runFaults(ctx, c, faults, opts, eng)
+	return runFaults(ctx, c, faults, opts, []faultEngine{eng})
 }
 
 // faultEngine decides one fault. Implementations: a fresh solver per
 // fault (oneShotEngine), one shared in-process solver (incrementalATPG),
-// and one resident session (sessionATPG).
+// and one resident session per shard (sessionATPG). runFaults drives
+// each engine from one goroutine.
 type faultEngine interface {
 	testFault(ctx context.Context, flt Fault) FaultResult
 }
@@ -145,31 +149,52 @@ func (e oneShotEngine) testFault(ctx context.Context, flt Fault) FaultResult {
 	return testFaultContext(ctx, e.c, flt, e.opts)
 }
 
-// runFaults is the fault loop shared by every engine: fault dropping by
-// simulation, per-fault stats aggregation, optional final compaction.
-// opts.MaxConflicts must already be resolved by the caller.
-func runFaults(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, eng faultEngine) *Report {
-	rep := &Report{Total: len(faults)}
-	rng := rand.New(rand.NewSource(opts.Seed))
+// faultSlot is one fault's outcome as its shard recorded it.
+type faultSlot struct {
+	res FaultResult
+	// queried: the engine was asked (one SAT call), as opposed to a
+	// cancelled or simulation-dropped fault.
+	queried bool
+	// drops lists the later faults of the same shard that this fault's
+	// pattern detected by simulation, in list order.
+	drops []int
+}
 
-	dropped := make([]bool, len(faults))
-	for i, flt := range faults {
-		if dropped[i] {
-			continue
+// runFaults is the fault driver shared by every engine. The list is
+// dealt across the k engines round-robin: engine j decides faults j,
+// j+k, j+2k, … in list order on its own goroutine, and with
+// opts.FaultSim drops faults only within its own shard, with its own
+// rng (shard j seeded opts.Seed+j). The per-fault outcomes are then
+// aggregated in list order — counts, stats, tests, then the optional
+// compaction — so one engine reproduces the sequential loop exactly and
+// any fixed k is deterministic. opts.MaxConflicts must already be
+// resolved by the caller.
+func runFaults[E faultEngine](ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, engs []E) *Report {
+	slots := make([]faultSlot, len(faults))
+	var wg sync.WaitGroup
+	for j, eng := range engs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runShard(ctx, c, faults, opts, eng, j, len(engs), slots)
+		}()
+	}
+	wg.Wait()
+
+	rep := &Report{Total: len(faults), Shards: len(engs)}
+	for i := range slots {
+		sl := &slots[i]
+		if sl.res.BySim {
+			continue // reported right after the fault whose pattern dropped it
 		}
-		if ctx.Err() != nil {
-			// Cancelled: everything still pending is an abort, with no
-			// SAT effort spent on it.
-			rep.Aborted++
-			rep.Results = append(rep.Results, FaultResult{Fault: flt, Status: Aborted})
-			continue
+		fr := sl.res
+		if sl.queried {
+			rep.SATCalls++
+			if s := fr.satStats; s != nil {
+				rep.Conflicts += s.Conflicts
+				rep.Decisions += s.Decisions
+			}
 		}
-		fr := eng.testFault(ctx, flt)
-		if s := fr.satStats; s != nil {
-			rep.Conflicts += s.Conflicts
-			rep.Decisions += s.Decisions
-		}
-		rep.SATCalls++
 		rep.Results = append(rep.Results, fr)
 		switch fr.Status {
 		case Detected:
@@ -177,13 +202,15 @@ func runFaults(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Opt
 			rep.Tests = append(rep.Tests, fr.Pattern)
 			rep.SpecifiedBits += csat.CountSpecified(fr.Pattern)
 			rep.PatternBits += len(fr.Pattern)
-			if opts.FaultSim {
-				rep.dropWithPattern(c, fr.Pattern, faults, dropped, i+1, rng)
-			}
 		case Redundant:
 			rep.Redundant++
 		default:
 			rep.Aborted++
+		}
+		for _, d := range sl.drops {
+			rep.Detected++
+			rep.BySimulation++
+			rep.Results = append(rep.Results, slots[d].res)
 		}
 	}
 	if opts.Compact && len(rep.Tests) > 0 {
@@ -193,9 +220,33 @@ func runFaults(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Opt
 	return rep
 }
 
+// runShard decides faults first, first+k, … with eng, writing only
+// their slots.
+func runShard(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, eng faultEngine, first, k int, slots []faultSlot) {
+	rng := rand.New(rand.NewSource(opts.Seed + int64(first)))
+	for i := first; i < len(faults); i += k {
+		sl := &slots[i]
+		if sl.res.BySim {
+			continue
+		}
+		if ctx.Err() != nil {
+			// Cancelled: everything still pending is an abort, with no
+			// SAT effort spent on it.
+			sl.res = FaultResult{Fault: faults[i], Status: Aborted}
+			continue
+		}
+		sl.res, sl.queried = eng.testFault(ctx, faults[i]), true
+		if opts.FaultSim && sl.res.Status == Detected {
+			sl.drops = dropWithPattern(c, sl.res.Pattern, faults, slots, i+k, k, rng)
+		}
+	}
+}
+
 // dropWithPattern completes the pattern (X bits randomized across 64
-// lanes) and fault-simulates the remaining faults, dropping detections.
-func (r *Report) dropWithPattern(c *circuit.Circuit, pat []cnf.LBool, faults []Fault, dropped []bool, from int, rng *rand.Rand) {
+// lanes) and fault-simulates the shard's remaining faults (from, from+k,
+// …), marking each detection in its slot. It returns the dropped
+// indices in list order.
+func dropWithPattern(c *circuit.Circuit, pat []cnf.LBool, faults []Fault, slots []faultSlot, from, k int, rng *rand.Rand) []int {
 	words := make([]uint64, len(pat))
 	for i, v := range pat {
 		switch v {
@@ -207,17 +258,17 @@ func (r *Report) dropWithPattern(c *circuit.Circuit, pat []cnf.LBool, faults []F
 			words[i] = rng.Uint64() // 64 random completions of the X
 		}
 	}
-	for j := from; j < len(faults); j++ {
-		if dropped[j] {
+	var drops []int
+	for j := from; j < len(faults); j += k {
+		if slots[j].res.BySim {
 			continue
 		}
 		if Detects(c, faults[j], words) != 0 {
-			dropped[j] = true
-			r.Detected++
-			r.BySimulation++
-			r.Results = append(r.Results, FaultResult{Fault: faults[j], Status: Detected, BySim: true})
+			slots[j].res = FaultResult{Fault: faults[j], Status: Detected, BySim: true}
+			drops = append(drops, j)
 		}
 	}
+	return drops
 }
 
 // TestFault generates a test for one fault with a fresh solver.

@@ -380,14 +380,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	cacheHit := false
 	if !spec.NoCache {
 		key = spec.cacheKey(parsed)
-		cached, cacheHit = s.cache.get(key)
-		// Defense in depth behind the keyspace separation: a proof job
-		// must never be satisfied from an entry without a certificate
-		// (a hand-edited or corrupted store could smuggle a proofless
-		// result in under a proof-namespace key).
-		if cacheHit && spec.Proof && cached.Proof == nil {
-			cacheHit = false
-		}
+		cached, cacheHit = s.probeCache(&spec, key)
 	}
 
 	s.mu.Lock()
@@ -421,18 +414,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	// all pre-admission CPU the submitter paid.
 	j.phase("parse")
 
-	if cacheHit {
-		j.trace.Annotate(obs.RootSpan, obs.A("cache", "hit"))
-		s.cacheHits++
-		s.submitted++
-		s.registerLocked(j)
-		s.mu.Unlock()
-		cached.Cached = true
-		cached.WallMS = 0
-		s.finalize(j, StatusDone, &cached, nil)
-		return j, nil
-	}
-	if !spec.NoCache {
+	if !cacheHit && !spec.NoCache {
 		if leader, ok := s.inflight[key]; ok {
 			if s.followers >= s.cfg.queueDepth() {
 				// Followers hold a goroutine and a Job each; unbounded,
@@ -455,6 +437,22 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 			go s.follow(j, leader)
 			return j, nil
 		}
+		// The probe above ran before s.mu, so a leader may have finished
+		// since. It puts its result before finalize drops it from
+		// inflight: with no leader in flight, a finished one's entry is in
+		// the cache. Probe again rather than solve the payload twice.
+		cached, cacheHit = s.probeCache(&spec, key)
+	}
+	if cacheHit {
+		j.trace.Annotate(obs.RootSpan, obs.A("cache", "hit"))
+		s.cacheHits++
+		s.submitted++
+		s.registerLocked(j)
+		s.mu.Unlock()
+		cached.Cached = true
+		cached.WallMS = 0
+		s.finalize(j, StatusDone, &cached, nil)
+		return j, nil
 	}
 
 	select {
@@ -472,6 +470,18 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		j.cancel()
 		return nil, ErrQueueFull
 	}
+}
+
+// probeCache looks key up in the result cache. Defense in depth behind
+// the keyspace separation: a proof job is never satisfied from an entry
+// without a certificate (a hand-edited or corrupted store could smuggle
+// a proofless result in under a proof-namespace key).
+func (s *Scheduler) probeCache(spec *Spec, key jobKey) (Result, bool) {
+	res, ok := s.cache.get(key)
+	if ok && spec.Proof && res.Proof == nil {
+		return Result{}, false
+	}
+	return res, ok
 }
 
 // registerLocked records the job in the ID registry; caller holds mu.
@@ -538,7 +548,7 @@ func (s *Scheduler) Stats() Stats {
 		AuditRecords:      auditSeq,
 		AuditAppendErrors: s.audit.errs.Load(),
 		AuditChainValid:   auditOK,
-		Submitted: s.submitted, Completed: s.completed,
+		Submitted:         s.submitted, Completed: s.completed,
 		Failed: s.failed, Cancelled: s.cancelled,
 		Shed: s.shed, Solves: s.solves,
 		CacheHits: s.cacheHits, Coalesced: s.coalesced,

@@ -276,6 +276,57 @@ func TestSingleflightCoalesce(t *testing.T) {
 	}
 }
 
+// TestConcurrentDuplicatesSolveOnce stresses the hand-off from the
+// in-flight leader to the cache. Submitters spin on one payload while
+// its leader finishes, so some of them miss the cache just before the
+// leader's put and reach the inflight map just after its delete. Each
+// distinct payload must still reach an engine exactly once.
+func TestConcurrentDuplicatesSolveOnce(t *testing.T) {
+	s := NewScheduler(Config{CPUBudget: 2, MaxRunning: 2, QueueDepth: 512})
+	defer s.Close()
+	const rounds, submitters = 25, 4
+	for r := 0; r < rounds; r++ {
+		spec := satSpec(6+r, 1) // distinct sizes: no payload repeats
+		var mu sync.Mutex
+		var jobs []*Job
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Spin until a submission is answered from the cache: by
+				// then the leader's put has landed.
+				for {
+					j, err := s.Submit(spec)
+					if errors.Is(err, ErrQueueFull) {
+						runtime.Gosched()
+						continue
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					jobs = append(jobs, j)
+					mu.Unlock()
+					if res, ok := j.Result(); ok && res.Cached {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, j := range jobs {
+			if res := mustResult(t, j); res.Verdict != "SAT" {
+				t.Fatalf("round %d job %s: verdict %s, want SAT", r, j.ID, res.Verdict)
+			}
+		}
+		if st := s.Stats(); st.Solves != int64(r+1) {
+			t.Fatalf("round %d: solves = %d for %d distinct payloads (%d submissions)", r, st.Solves, r+1, len(jobs))
+		}
+	}
+}
+
 // TestQueueFullSheds pins load shedding: a full queue rejects with
 // ErrQueueFull instead of blocking the submitter.
 func TestQueueFullSheds(t *testing.T) {

@@ -19,8 +19,6 @@ func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
 }
 
-func (h *varHeap) less(a, b cnf.Var) bool { return (*h.act)[a] > (*h.act)[b] }
-
 func (h *varHeap) grow(v cnf.Var) {
 	for len(h.indices) <= int(v) {
 		h.indices = append(h.indices, -1)
@@ -107,32 +105,48 @@ func (h *varHeap) swap(i, j int) {
 	h.indices[h.heap[j]] = j
 }
 
+// up and down sift a hole instead of swapping per level: the moving
+// variable is written once, at its final slot. The comparisons are the
+// strict > of a swap-based sift, so the array ends up the same.
 func (h *varHeap) up(i int) {
+	act, heap := *h.act, h.heap
+	v := heap[i]
+	av := act[v]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.heap[i], h.heap[parent]) {
+		p := heap[parent]
+		if !(av > act[p]) {
 			break
 		}
-		h.swap(i, parent)
+		heap[i] = p
+		h.indices[p] = i
 		i = parent
 	}
+	heap[i] = v
+	h.indices[v] = i
 }
 
 func (h *varHeap) down(i int) {
-	n := len(h.heap)
+	act, heap := *h.act, h.heap
+	n := len(heap)
+	v := heap[i]
+	av := act[v]
 	for {
 		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(h.heap[l], h.heap[best]) {
-			best = l
+		best, bestAct := i, av
+		if l < n && act[heap[l]] > bestAct {
+			best, bestAct = l, act[heap[l]]
 		}
-		if r < n && h.less(h.heap[r], h.heap[best]) {
+		if r < n && act[heap[r]] > bestAct {
 			best = r
 		}
 		if best == i {
-			return
+			break
 		}
-		h.swap(i, best)
+		heap[i] = heap[best]
+		h.indices[heap[i]] = i
 		i = best
 	}
+	heap[i] = v
+	h.indices[v] = i
 }

@@ -23,11 +23,11 @@ func inprocTestConfigs() map[string]Options {
 	elimOnly.InprocessNoVivify = true
 	elimOnly.InprocessNoSubsume = true
 	return map[string]Options{
-		"all":        all,
-		"viv+sub":    base,
-		"vivify":     vivOnly,
-		"subsume":    subOnly,
-		"varelim":    elimOnly,
+		"all":     all,
+		"viv+sub": base,
+		"vivify":  vivOnly,
+		"subsume": subOnly,
+		"varelim": elimOnly,
 		"tiny-budget": {Inprocess: true, InprocessVarElim: true, InprocessEvery: 1,
 			InprocessBudget: 50, Restart: RestartFixed, RestartBase: 4},
 	}
