@@ -11,11 +11,7 @@ package sateda
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -881,8 +877,10 @@ func BenchmarkE30_Preprocessing(b *testing.B) {
 	})
 }
 
-// E31/E32 below cover this repo's own subsystems beyond the paper's
-// claims: the parallel portfolio and the arena clause database.
+// E31, E33 and E36 below cover this repo's own subsystems beyond the
+// paper's claims: the parallel portfolio, its adaptive supervisor and
+// in-search inprocessing. The clause arena, the serving layer and
+// sessions are measured by BenchmarkSolverTier and satbench (bench/).
 //
 // E31 (portfolio, this repo's parallel subsystem): wall-clock of 1, 2
 // and 4 diversified workers racing with clause sharing. Two instance
@@ -921,45 +919,6 @@ func BenchmarkE31_Portfolio(b *testing.B) {
 				b.ReportMetric(float64(res.Winner), "winnerID")
 			})
 		}
-	}
-}
-
-// E32 (clause arena): BCP throughput and allocation behavior of the
-// flat CRef-addressed clause database on hard phase-transition
-// instances. Before the arena refactor the same workload allocated one
-// heap object (plus a literal slice) per clause and the hot loop chased
-// *clause pointers; now the whole database is one pointer-free slice,
-// binary clauses propagate without touching it at all, and conflict
-// analysis reuses one learnt buffer — so allocs/op (reported via
-// -benchmem) collapse to the arena's few geometric growths and props/s
-// measures raw propagation throughput. Compare across BENCH captures:
-// the seed (pointer) representation paid several allocations per
-// conflict; the arena holds allocs/op roughly flat in conflict count.
-func BenchmarkE32_ClauseArena(b *testing.B) {
-	instances := []struct {
-		name string
-		f    *cnf.Formula
-	}{
-		{"rand150unsat", gen.Random3SATHard(150, 9)},
-		{"rand220sat", gen.Random3SATHard(220, 5)},
-	}
-	for _, inst := range instances {
-		b.Run(inst.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var props, conflicts, gcs int64
-			for i := 0; i < b.N; i++ {
-				s := solver.FromFormula(inst.f, solver.Options{})
-				if s.Solve() == solver.Unknown {
-					b.Fatal("must decide")
-				}
-				props += s.Stats.Propagations
-				conflicts += s.Stats.Conflicts
-				gcs += s.Stats.ArenaGCs
-			}
-			b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
-			b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts")
-			b.ReportMetric(float64(gcs)/float64(b.N), "arenaGCs")
-		})
 	}
 }
 
@@ -1030,28 +989,6 @@ func BenchmarkE33_Adaptive(b *testing.B) {
 	}
 }
 
-// e36Row is one measured cell of E36, serialized into
-// BENCH_inprocess.json so the inprocessing/warm-start effect can be
-// diffed across machines and revisions. Conflicts and decisions are
-// summed over the instance family and deterministic per cell.
-type e36Row struct {
-	Family      string  `json:"family"`
-	Instances   int     `json:"instances"`
-	Inprocess   bool    `json:"inprocess"`
-	WarmStart   bool    `json:"warm_start"`
-	Conflicts   int64   `json:"conflicts"`
-	Decisions   int64   `json:"decisions"`
-	PropsPerSec float64 `json:"props_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	InprocStats struct {
-		Rounds           int64 `json:"rounds"`
-		Vivified         int64 `json:"vivified"`
-		VivifiedLits     int64 `json:"vivified_lits"`
-		Subsumed         int64 `json:"subsumed"`
-		StrengthenedLits int64 `json:"strengthened_lits"`
-	} `json:"inproc"`
-}
-
 // E36 (in-search inprocessing + learned warm start): conflicts to
 // solution, propagation throughput and allocation behavior with the
 // restart-boundary inprocessing engine and the recipe-memory warm start
@@ -1071,8 +1008,8 @@ type e36Row struct {
 // measure: an unsatisfiable random 3-SAT family (5 seeds, summed —
 // refutation cost cannot get lucky the way satisfiable near-threshold
 // search can), the php8 pigeonhole proof, and the E33 CEC adder miter
-// at 16 bits. The full grid goes to BENCH_inprocess.json; conflict
-// counts are deterministic, so the JSON diffs cleanly across revisions.
+// at 16 bits. Conflict counts are deterministic per cell, so they diff
+// cleanly across revisions.
 func BenchmarkE36_Inprocess(b *testing.B) {
 	adderMiter := func(bits int) *cnf.Formula {
 		m, out, err := cec.BuildMiter(circuit.RippleCarryAdder(bits), circuit.CarrySkipAdder(bits, 4))
@@ -1095,7 +1032,6 @@ func BenchmarkE36_Inprocess(b *testing.B) {
 		{"miter-adder16", []*cnf.Formula{adderMiter(16)}},
 	}
 	inprocOpts := solver.Options{Inprocess: true, InprocessEvery: 1}
-	rows := map[string]e36Row{}
 	for _, fam := range families {
 		// The warm profile the serve recipe memory would hold for this
 		// class: the top-activity variables and saved phases of a
@@ -1112,15 +1048,9 @@ func BenchmarkE36_Inprocess(b *testing.B) {
 			name := fmt.Sprintf("%s/inprocess=%v/warm=%v", fam.name, v.inproc, v.warm)
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
-				var row e36Row
-				var props int64
-				var m0, m1 runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&m0)
-				start := time.Now()
+				var props, conflicts, vivified, subsumed int64
 				for i := 0; i < b.N; i++ {
-					row = e36Row{Family: fam.name, Instances: len(fam.fs),
-						Inprocess: v.inproc, WarmStart: v.warm}
+					conflicts, vivified, subsumed = 0, 0, 0
 					for j, f := range fam.fs {
 						opts := solver.Options{}
 						if v.inproc {
@@ -1134,39 +1064,16 @@ func BenchmarkE36_Inprocess(b *testing.B) {
 							b.Fatal("must decide")
 						}
 						props += s.Stats.Propagations
-						row.Conflicts += s.Stats.Conflicts
-						row.Decisions += s.Stats.Decisions
-						row.InprocStats.Rounds += s.Stats.InprocRounds
-						row.InprocStats.Vivified += s.Stats.Vivified
-						row.InprocStats.VivifiedLits += s.Stats.VivifiedLits
-						row.InprocStats.Subsumed += s.Stats.Subsumed
-						row.InprocStats.StrengthenedLits += s.Stats.StrengthenedLits
+						conflicts += s.Stats.Conflicts
+						vivified += s.Stats.Vivified
+						subsumed += s.Stats.Subsumed
 					}
 				}
-				wall := time.Since(start)
-				runtime.ReadMemStats(&m1)
-				row.PropsPerSec = float64(props) / wall.Seconds()
-				row.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
-				rows[name] = row // highest-b.N invocation wins
-				b.ReportMetric(float64(row.Conflicts), "conflicts")
-				b.ReportMetric(row.PropsPerSec, "props/s")
+				b.ReportMetric(float64(conflicts), "conflicts")
+				b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
+				b.ReportMetric(float64(vivified), "vivified")
+				b.ReportMetric(float64(subsumed), "subsumed")
 			})
 		}
-	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]e36Row, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, rows[k])
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_inprocess.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -1,12 +1,20 @@
-// Command doclint enforces the repository's documentation floor: every
-// Go package under internal/ and cmd/, plus the root facade package,
-// must carry a package-level doc comment (a comment block immediately
-// preceding the package clause in at least one non-test file). CI runs
-// it next to go vet; it exits non-zero listing every offending package.
+// Command doclint enforces the repository's documentation floor. It
+// checks two things and exits 1 listing every offence:
 //
-// The check is deliberately narrow — it verifies the comment exists and
-// is attached (a blank line between comment and package clause detaches
-// it in godoc), not that it is good prose. Reviewers own the prose.
+//   - Every Go package under internal/ and cmd/, plus the root facade
+//     package, carries a package-level doc comment (a comment block
+//     immediately preceding the package clause in at least one non-test
+//     file; a blank line between them detaches it in godoc).
+//   - Every back-ticked path in README.md and ARCHITECTURE.md resolves,
+//     so a deletion that leaves a stale paragraph fails CI. A token whose
+//     first segment is cmd, internal, bench, examples or testdata must
+//     exist relative to the root or to some directory of the tree; a
+//     bare *.go, *.json or *.md name must match a file somewhere in the
+//     tree. A trailing ":line" is ignored, tokens holding "{" or "*" are
+//     patterns, and fenced code blocks are not checked.
+//
+// Reviewers own the prose; doclint only checks that it is attached and
+// points at something. CI runs it next to go vet.
 //
 // Usage:
 //
@@ -21,6 +29,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -31,58 +40,74 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
+	os.Exit(run(root))
+}
 
-	// Collect every directory containing non-test .go files under the
-	// audited roots.
-	dirs := map[string]bool{}
-	addGoFiles := func(path string, d fs.DirEntry) {
-		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dirs[filepath.Dir(path)] = true
-		}
-	}
-	for _, sub := range []string{"internal", "cmd"} {
-		tree := filepath.Join(root, sub)
-		if _, err := os.Stat(tree); os.IsNotExist(err) {
-			continue
-		}
-		err := filepath.WalkDir(tree, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			addGoFiles(path, d)
-			return nil
-		})
+// run lints the tree under root and returns the exit code: 0 clean,
+// 1 with offences, 2 when the tree cannot be read.
+func run(root string) int {
+	// One walk collects every path of the tree, slash-separated and
+	// relative to root, and every audited directory holding non-test Go
+	// files. Hidden directories (.git, build caches) are skipped.
+	var tree []string
+	pkgDirs := map[string]bool{}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doclint:", err)
-			os.Exit(2)
+			return err
 		}
-	}
-	// The facade package: only the root directory itself, when it holds
-	// Go files.
-	if entries, err := os.ReadDir(root); err == nil {
-		for _, e := range entries {
-			addGoFiles(filepath.Join(root, e.Name()), e)
+		if d.IsDir() && p != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
 		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		tree = append(tree, rel)
+		top, _, _ := strings.Cut(rel, "/")
+		goFile := !d.IsDir() && strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, "_test.go")
+		if goFile && (top == "internal" || top == "cmd" || path.Dir(rel) == ".") {
+			pkgDirs[filepath.Dir(p)] = true
+		}
+		return nil
+	})
+	var problems []string
+	if err == nil {
+		problems, err = missingPackageDocs(pkgDirs)
 	}
+	if err == nil {
+		var stale []string
+		stale, err = stalePaths(root, tree)
+		problems = append(problems, stale...)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		return 2
+	}
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, "doclint:", p)
+	}
+	if len(problems) > 0 {
+		return 1
+	}
+	return 0
+}
 
+// missingPackageDocs lists the directories whose package has no doc
+// comment.
+func missingPackageDocs(dirs map[string]bool) ([]string, error) {
 	var missing []string
 	for dir := range dirs {
 		ok, pkg, err := hasPackageComment(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doclint:", err)
-			os.Exit(2)
+			return nil, err
 		}
 		if !ok {
-			missing = append(missing, fmt.Sprintf("%s (package %s)", dir, pkg))
+			missing = append(missing, fmt.Sprintf("no package doc comment: %s (package %s)", dir, pkg))
 		}
 	}
 	sort.Strings(missing)
-	for _, m := range missing {
-		fmt.Fprintf(os.Stderr, "doclint: no package doc comment: %s\n", m)
-	}
-	if len(missing) > 0 {
-		os.Exit(1)
-	}
+	return missing, nil
 }
 
 // hasPackageComment reports whether any non-test Go file in dir carries
@@ -105,4 +130,58 @@ func hasPackageComment(dir string) (bool, string, error) {
 		}
 	}
 	return false, name, nil
+}
+
+// docFiles are the documents whose back-ticked paths must resolve.
+var docFiles = []string{"README.md", "ARCHITECTURE.md"}
+
+// pathRoots are the first segments that make a back-ticked token a path.
+var pathRoots = map[string]bool{"cmd": true, "internal": true, "bench": true, "examples": true, "testdata": true}
+
+// stalePaths lists the back-ticked paths of docFiles that name nothing
+// in tree, the slash-separated paths under root.
+func stalePaths(root string, tree []string) ([]string, error) {
+	resolves := func(tok string) bool {
+		for _, p := range tree {
+			if p == tok || strings.HasSuffix(p, "/"+tok) {
+				return true
+			}
+		}
+		return false
+	}
+	var stale []string
+	for _, doc := range docFiles {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		var prose []string
+		fenced := false
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if !fenced {
+				prose = append(prose, line)
+			}
+		}
+		// Code spans may wrap, so split the joined prose: every odd piece
+		// is the inside of a span.
+		spans := strings.Split(strings.Join(prose, "\n"), "`")
+		for i := 1; i < len(spans); i += 2 {
+			for _, tok := range strings.Fields(spans[i]) {
+				tok, _, _ = strings.Cut(tok, ":")
+				tok = strings.TrimSuffix(tok, "/")
+				if strings.ContainsAny(tok, "{*") {
+					continue
+				}
+				first, _, nested := strings.Cut(tok, "/")
+				ext := path.Ext(tok)
+				isPath := nested && pathRoots[first] || !nested && (ext == ".go" || ext == ".json" || ext == ".md")
+				if isPath && !resolves(tok) {
+					stale = append(stale, fmt.Sprintf("%s names a missing path: `%s`", doc, tok))
+				}
+			}
+		}
+	}
+	return stale, nil
 }

@@ -37,6 +37,12 @@ const (
 	KindBMC Kind = "bmc"
 )
 
+// maxBMCDepth bounds Spec.Depth. The unroller adds one frame per step
+// until the deadline, so an unbounded depth would turn one request into
+// a job-long allocation loop; the deepest job satbench generates (an
+// 8-bit LFSR) needs about 257 frames.
+const maxBMCDepth = 4096
+
 // singleThreaded reports whether the kind's engine can only ever use
 // one worker; the fair-share scheduler accounts such jobs as one CPU
 // instead of a full portfolio share.
@@ -136,8 +142,8 @@ func (sp *Spec) parse() (parsedPayload, string, error) {
 		return p, fmt.Sprintf("cec/g%d", logBucket(len(left.Nodes)+len(right.Nodes))), nil
 
 	case KindBMC:
-		if sp.Depth < 0 {
-			return p, "", fmt.Errorf("%w: negative depth", ErrBadJob)
+		if sp.Depth < 0 || sp.Depth > maxBMCDepth {
+			return p, "", fmt.Errorf("%w: depth %d outside [0, %d]", ErrBadJob, sp.Depth, maxBMCDepth)
 		}
 		seq, err := bmc.FromBench(strings.NewReader(sp.Model))
 		if err != nil {

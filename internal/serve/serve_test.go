@@ -274,6 +274,21 @@ func TestSingleflightCoalesce(t *testing.T) {
 	if st.CacheHits != 1 || st.Solves != 2 {
 		t.Errorf("cache hits %d solves %d, want 1 and still 2", st.CacheHits, st.Solves)
 	}
+
+	// The same formula pinned by one more unit clause is a different job:
+	// it must be solved, never answered from the cached entry.
+	pinned := f.Clone()
+	pinned.AddClause(cnf.Clause{cnf.PosLit(1)})
+	j, err = s.Submit(dimacsSpec(pinned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := mustResult(t, j); res.Cached || res.Verdict != "UNSAT" {
+		t.Fatalf("pinned formula: cached=%v verdict=%s, want a fresh UNSAT", res.Cached, res.Verdict)
+	}
+	if st = s.Stats(); st.CacheHits != 1 || st.Solves != 3 {
+		t.Errorf("cache hits %d solves %d after the pinned formula, want 1 and 3", st.CacheHits, st.Solves)
+	}
 }
 
 // TestConcurrentDuplicatesSolveOnce stresses the hand-off from the
@@ -503,6 +518,7 @@ func TestBadSpecRejected(t *testing.T) {
 		{Kind: KindDIMACS},
 		{Kind: KindCEC, Left: "INPUT(a)\nOUTPUT(a)\n", Right: "???"},
 		{Kind: KindBMC, Model: counterBench, Depth: -1},
+		{Kind: KindBMC, Model: counterBench, Depth: maxBMCDepth + 1},
 	} {
 		if _, err := s.Submit(sp); !errors.Is(err, ErrBadJob) {
 			t.Errorf("spec %+v: err %v, want ErrBadJob", sp.Kind, err)
