@@ -34,6 +34,7 @@ import (
 	"repro/internal/reclearn"
 	"repro/internal/redund"
 	"repro/internal/route"
+	"repro/internal/session"
 	"repro/internal/solver"
 	"repro/internal/xtalk"
 )
@@ -338,6 +339,8 @@ func BenchmarkE11_Restarts(b *testing.B) {
 }
 
 // E12 (§6): incremental vs from-scratch SAT across an ATPG fault list.
+// The incremental arm is the resident-session driver on a private
+// Manager.
 func BenchmarkE12_Incremental(b *testing.B) {
 	c := circuit.RippleCarryAdder(6)
 	for _, incr := range []bool{false, true} {
@@ -346,9 +349,19 @@ func BenchmarkE12_Incremental(b *testing.B) {
 			name = "incremental"
 		}
 		b.Run(name, func(b *testing.B) {
+			m := session.NewManager(session.Config{})
+			defer m.Close()
 			var conflicts int64
 			for i := 0; i < b.N; i++ {
-				rep := atpg.GenerateTests(c, atpg.Options{Incremental: incr, Seed: 1})
+				var rep *atpg.Report
+				if incr {
+					var err error
+					if rep, err = atpg.GenerateTestsSession(context.Background(), m, c, atpg.Options{Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					rep = atpg.GenerateTests(c, atpg.Options{Seed: 1})
+				}
 				conflicts = rep.Conflicts
 			}
 			b.ReportMetric(float64(conflicts), "conflicts")

@@ -2,12 +2,13 @@
 // .bench netlist using SAT (paper §3): it reports per-fault verdicts
 // (detected / redundant / aborted), overall fault coverage, and the
 // generated test set. The structural layer of §5 (-structural) yields
-// partially-specified patterns; -incremental shares one solver across
-// the fault list; -session runs the fault list as assumption queries
-// against resident solve sessions (the same engine satserved exposes
-// over HTTP), with identical verdicts. -session deals the list across
-// one session per CPU (GOMAXPROCS), at least 64 faults each, queried in
-// parallel; the report prints the shard count.
+// partially-specified patterns; -session runs the fault list as
+// assumption queries against resident solve sessions (the same engine
+// satserved exposes over HTTP), with identical verdicts. -session deals
+// the list across one session per CPU (GOMAXPROCS), at least 64 faults
+// each, queried in parallel; the report prints the shard count. The
+// structural layer needs the one-shot engine, so -session -structural
+// is refused.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 func main() {
 	var (
 		structural = flag.Bool("structural", false, "use the justification-frontier layer (partial patterns)")
-		incr       = flag.Bool("incremental", false, "share one solver across faults")
 		useSession = flag.Bool("session", false, "run the fault list through resident solve sessions, one per CPU")
 		faultSim   = flag.Bool("faultsim", true, "drop faults by parallel-pattern fault simulation")
 		collapse   = flag.Bool("collapse", true, "collapse equivalent faults")
@@ -56,7 +56,6 @@ func main() {
 
 	opts := atpg.Options{
 		Structural:   *structural,
-		Incremental:  *incr,
 		FaultSim:     *faultSim,
 		NoCollapse:   !*collapse,
 		MaxConflicts: *maxConfl,
@@ -69,7 +68,7 @@ func main() {
 		var err error
 		rep, err = atpg.GenerateTestsSession(context.Background(), m, c, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "atpg:", err)
+			fmt.Fprintln(os.Stderr, err) // already prefixed "atpg:"
 			os.Exit(1)
 		}
 	} else {

@@ -1,8 +1,9 @@
 // ATPG flow: generate stuck-at tests for a 4-bit ripple-carry adder
 // three ways — plain SAT per fault, the §5 structural layer (partial,
-// non-overspecified patterns), and incremental SAT across the fault
-// list — then compare effort and pattern specification, and finish with
-// redundancy identification on a deliberately redundant circuit.
+// non-overspecified patterns), and plain SAT with fault dropping by
+// simulation — then compare effort and pattern specification, and
+// finish with redundancy identification on a deliberately redundant
+// circuit.
 package main
 
 import (
@@ -29,7 +30,6 @@ func main() {
 
 	run("plain", c, sateda.ATPGOptions{Seed: 1})
 	run("structural", c, sateda.ATPGOptions{Structural: true, Seed: 1})
-	run("incremental", c, sateda.ATPGOptions{Incremental: true, Seed: 1})
 	run("faultsim", c, sateda.ATPGOptions{FaultSim: true, Seed: 1})
 
 	// Redundancy identification (§3): an untestable fault is an UNSAT

@@ -44,9 +44,6 @@ type Options struct {
 	// backtracing and early termination on an empty justification
 	// frontier, producing partially-specified patterns.
 	Structural bool
-	// Incremental shares a single solver across all faults using
-	// activation literals (§6 iterative/incremental SAT).
-	Incremental bool
 	// FaultSim enables parallel-pattern fault simulation with fault
 	// dropping: each generated test is simulated against the remaining
 	// fault list (of its shard, when the session path shards it) and
@@ -57,7 +54,8 @@ type Options struct {
 	// Compact applies reverse-order static test compaction to the final
 	// test set (coverage-preserving).
 	Compact bool
-	// MaxConflicts bounds the per-fault SAT effort (0 = 20000).
+	// MaxConflicts bounds the per-fault SAT effort (0 = 20000,
+	// defaultMaxConflicts).
 	MaxConflicts int64
 	// Solver carries base solver options.
 	Solver solver.Options
@@ -120,21 +118,18 @@ func GenerateTestsFor(c *circuit.Circuit, faults []Fault, opts Options) *Report 
 // reported Aborted without further SAT calls.
 func TestFaultsContext(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options) *Report {
 	if opts.MaxConflicts == 0 {
-		opts.MaxConflicts = 20000
+		opts.MaxConflicts = defaultMaxConflicts
 	}
-	var eng faultEngine
-	if opts.Incremental {
-		eng = newIncremental(c, opts)
-	} else {
-		eng = oneShotEngine{c: c, opts: opts}
-	}
-	return runFaults(ctx, c, faults, opts, []faultEngine{eng})
+	return runFaults(ctx, c, faults, opts, []oneShotEngine{{c: c, opts: opts}})
 }
 
+// defaultMaxConflicts is the per-fault conflict budget when
+// Options.MaxConflicts is 0.
+const defaultMaxConflicts = 20000
+
 // faultEngine decides one fault. Implementations: a fresh solver per
-// fault (oneShotEngine), one shared in-process solver (incrementalATPG),
-// and one resident session per shard (sessionATPG). runFaults drives
-// each engine from one goroutine.
+// fault (oneShotEngine) and one resident session per shard
+// (sessionATPG). runFaults drives each engine from one goroutine.
 type faultEngine interface {
 	testFault(ctx context.Context, flt Fault) FaultResult
 }
@@ -280,7 +275,7 @@ func TestFault(c *circuit.Circuit, flt Fault, opts Options) FaultResult {
 // cancelled ctx stops the solve and the fault reports Aborted.
 func testFaultContext(ctx context.Context, c *circuit.Circuit, flt Fault, opts Options) FaultResult {
 	if opts.MaxConflicts == 0 {
-		opts.MaxConflicts = 20000
+		opts.MaxConflicts = defaultMaxConflicts
 	}
 	fr := FaultResult{Fault: flt}
 	m := BuildMiter(c, flt)
@@ -294,9 +289,8 @@ func testFaultContext(ctx context.Context, c *circuit.Circuit, flt Fault, opts O
 	s := solver.FromFormula(f, sopts)
 	stopWatch := context.AfterFunc(ctx, s.Interrupt)
 	defer stopWatch()
-	var layer *csat.Layer
 	if opts.Structural {
-		layer = csat.Attach(m.C, enc, s, csat.Options{Backtrace: true})
+		csat.Attach(m.C, enc, s, csat.Options{Backtrace: true})
 	}
 	switch s.Solve() {
 	case solver.Sat:
@@ -306,7 +300,6 @@ func testFaultContext(ctx context.Context, c *circuit.Circuit, flt Fault, opts O
 		for i, id := range c.Inputs {
 			pat[i] = model.Value(enc.VarOf[m.GoodOf[id]])
 		}
-		_ = layer
 		fr.Pattern = pat
 	case solver.Unsat:
 		fr.Status = Redundant

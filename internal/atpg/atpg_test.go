@@ -1,11 +1,13 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
+	"repro/internal/session"
 )
 
 func TestFaultUniverseAndCollapse(t *testing.T) {
@@ -115,13 +117,18 @@ func TestGeneratedPatternsDetect(t *testing.T) {
 }
 
 func TestModesAgreeOnVerdicts(t *testing.T) {
-	// Scratch, structural and incremental ATPG must classify every fault
+	// Scratch, structural and session ATPG must classify every fault
 	// identically (detected vs redundant).
 	c := circuit.RandomDAG(5, 18, 3, 7)
 	faults := Collapse(c, FaultUniverse(c))
 	base := GenerateTestsFor(c, faults, Options{})
 	str := GenerateTestsFor(c, faults, Options{Structural: true})
-	inc := GenerateTestsFor(c, faults, Options{Incremental: true})
+	m := session.NewManager(session.Config{})
+	defer m.Close()
+	ses, err := GenerateTestsSessionFor(context.Background(), m, c, faults, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := func(r *Report) map[string]Status {
 		m := make(map[string]Status)
 		for _, fr := range r.Results {
@@ -129,13 +136,13 @@ func TestModesAgreeOnVerdicts(t *testing.T) {
 		}
 		return m
 	}
-	kb, ks, ki := key(base), key(str), key(inc)
+	kb, ks, ki := key(base), key(str), key(ses)
 	for f, st := range kb {
 		if ks[f] != st {
 			t.Fatalf("fault %s: scratch=%v structural=%v", f, st, ks[f])
 		}
 		if ki[f] != st {
-			t.Fatalf("fault %s: scratch=%v incremental=%v", f, st, ki[f])
+			t.Fatalf("fault %s: scratch=%v session=%v", f, st, ki[f])
 		}
 	}
 }

@@ -9,8 +9,9 @@
 //
 // Three modes are provided: one-shot SAT per fault, the structural-layer
 // mode of §5 producing partially-specified patterns, and the
-// iterative/incremental mode of §6 ([Kim et al.]) sharing one solver
-// across the fault list via activation literals.
+// iterative/incremental mode of §6 ([Kim et al.]) running the fault list
+// as activation-literal queries against resident solve sessions
+// (GenerateTestsSession).
 package atpg
 
 import (

@@ -96,31 +96,8 @@ func TestSequentialFault(q *bmc.Sequential, flt Fault, opts SeqOptions) SeqResul
 			}
 			circuit.AppendGateCNF(scratch, n.Type, vars[i], ins)
 		}
-		for s.NumVars() < scratch.NumVars() {
-			s.NewVar()
-		}
-		for _, cl := range scratch.Clauses {
-			s.AddClause(cl)
-		}
+		s.AddFormula(scratch)
 		return vars
-	}
-
-	tieLatches := func(cur, prev []cnf.Var) {
-		for _, l := range q.Latches {
-			qv, d := cur[l.Output], prev[l.Input]
-			s.AddClause(cnf.Clause{cnf.NegLit(qv), cnf.PosLit(d)})
-			s.AddClause(cnf.Clause{cnf.PosLit(qv), cnf.NegLit(d)})
-		}
-	}
-	initLatches := func(vars []cnf.Var) {
-		for i, l := range q.Latches {
-			switch q.Init[i] {
-			case cnf.True:
-				s.AddClause(cnf.Clause{cnf.PosLit(vars[l.Output])})
-			case cnf.False:
-				s.AddClause(cnf.Clause{cnf.NegLit(vars[l.Output])})
-			}
-		}
 	}
 
 	for t := 0; t <= opts.MaxDepth; t++ {
@@ -132,11 +109,11 @@ func TestSequentialFault(q *bmc.Sequential, flt Fault, opts SeqOptions) SeqResul
 		good := addCopy(false, shared)
 		bad := addCopy(true, shared)
 		if t == 0 {
-			initLatches(good)
-			initLatches(bad)
+			q.InitLatches(s, good)
+			q.InitLatches(s, bad)
 		} else {
-			tieLatches(good, frames[t-1].good)
-			tieLatches(bad, frames[t-1].bad)
+			q.TieLatches(s, good, frames[t-1].good)
+			q.TieLatches(s, bad, frames[t-1].bad)
 		}
 		frames = append(frames, frame{good: good, bad: bad})
 
@@ -149,12 +126,7 @@ func TestSequentialFault(q *bmc.Sequential, flt Fault, opts SeqOptions) SeqResul
 			diff = append(diff, cnf.PosLit(d))
 		}
 		act := scratch.NewVar()
-		for s.NumVars() < scratch.NumVars() {
-			s.NewVar()
-		}
-		for _, cl := range scratch.Clauses {
-			s.AddClause(cl)
-		}
+		s.AddFormula(scratch)
 		s.AddClause(append(diff, cnf.NegLit(act)))
 
 		res.SATCalls++

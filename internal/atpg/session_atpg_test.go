@@ -15,14 +15,14 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/csat"
 	"repro/internal/session"
+	"repro/internal/solver"
 )
 
 // TestSessionATPGParity is the acceptance check for the session-backed
 // engine: the whole fault list dealt across one, two or three resident
 // sessions must produce per-fault verdicts identical to the one-shot
-// path (and the in-process incremental path) — same
-// detected/redundant split, and every generated pattern actually
-// detects its fault.
+// path — same detected/redundant split, and every generated pattern
+// actually detects its fault.
 func TestSessionATPGParity(t *testing.T) {
 	circuits := map[string]*circuit.Circuit{
 		"c17":  circuit.C17(),
@@ -40,21 +40,11 @@ func TestSessionATPGParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			faults := Collapse(c, FaultUniverse(c))
 			oneShot := GenerateTestsFor(c, faults, Options{})
-			inProc := GenerateTestsFor(c, faults, Options{Incremental: true})
 
 			// Per-fault verdict agreement, not just aggregate counts.
 			verdict := make(map[string]Status, len(oneShot.Results))
 			for _, fr := range oneShot.Results {
 				verdict[fr.Fault.String()] = fr.Status
-			}
-			if inProc.Detected != oneShot.Detected || inProc.Redundant != oneShot.Redundant {
-				t.Fatalf("incremental %d/%d vs one-shot %d/%d (detected/redundant)",
-					inProc.Detected, inProc.Redundant, oneShot.Detected, oneShot.Redundant)
-			}
-			for _, fr := range inProc.Results {
-				if want := verdict[fr.Fault.String()]; want != fr.Status {
-					t.Errorf("fault %s: incremental %s, one-shot %s", fr.Fault, fr.Status, want)
-				}
 			}
 
 			for k := 1; k <= 3; k++ {
@@ -208,28 +198,39 @@ func TestRunFaultsOneEngineMatchesSequential(t *testing.T) {
 		// is observable.
 		"mult3": circuit.ArrayMultiplier(3),
 	}
-	configs := []Options{
-		{FaultSim: true, Seed: 3},
-		{FaultSim: true, Compact: true, Seed: 9},
-		{FaultSim: true, Structural: true, Seed: 5},
-		{FaultSim: true, Incremental: true, Seed: 7},
+	configs := []struct {
+		opts    Options
+		session bool // one session engine instead of the one-shot one
+	}{
+		{opts: Options{FaultSim: true, Seed: 3}},
+		{opts: Options{FaultSim: true, Compact: true, Seed: 9}},
+		{opts: Options{FaultSim: true, Structural: true, Seed: 5}},
+		{opts: Options{FaultSim: true, Seed: 7}, session: true},
 	}
+	m := session.NewManager(session.Config{})
+	t.Cleanup(m.Close) // after the engines' own cleanups evict their sessions
 	for name, c := range circuits {
 		faults := Collapse(c, FaultUniverse(c))
-		for _, opts := range configs {
-			opts.MaxConflicts = 20000
+		for _, cfg := range configs {
+			opts := cfg.opts
+			opts.MaxConflicts = defaultMaxConflicts
 			engine := func() faultEngine {
-				if opts.Incremental {
-					return newIncremental(c, opts)
+				if !cfg.session {
+					return oneShotEngine{c: c, opts: opts}
 				}
-				return oneShotEngine{c: c, opts: opts}
+				sa, err := newSessionATPG(m, c, circuit.Encode(c), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(sa.Close)
+				return sa
 			}
 			want := sequentialFaults(context.Background(), c, faults, opts, engine())
 			want.Shards = 1
 			got := runFaults(context.Background(), c, faults, opts, []faultEngine{engine()})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %+v: sharded driver with one engine differs from the sequential loop\n got %d/%d/%d sim %d calls %d tests %d\nwant %d/%d/%d sim %d calls %d tests %d",
-					name, opts, got.Detected, got.Redundant, got.Aborted, got.BySimulation, got.SATCalls, len(got.Tests),
+				t.Fatalf("%s %+v session=%v: sharded driver with one engine differs from the sequential loop\n got %d/%d/%d sim %d calls %d tests %d\nwant %d/%d/%d sim %d calls %d tests %d",
+					name, opts, cfg.session, got.Detected, got.Redundant, got.Aborted, got.BySimulation, got.SATCalls, len(got.Tests),
 					want.Detected, want.Redundant, want.Aborted, want.BySimulation, want.SATCalls, len(want.Tests))
 			}
 		}
@@ -319,10 +320,11 @@ func TestSessionShardCount(t *testing.T) {
 	}
 }
 
-// TestSessionATPGAddedClausesPersist checks the retire mechanism: after
-// a full run, re-running the same fault list in the SAME manager (new
-// session) still yields the same verdicts — i.e. one run's retirement
-// units never leak into another session.
+// TestSessionATPGIsolation checks the retire mechanism: after a full
+// run, re-running the same fault list in the SAME manager (new session)
+// still yields the same verdicts — i.e. one run's retirement units never
+// leak into another session. A run asking for the structural layer,
+// which sessions cannot host, is refused without opening a session.
 func TestSessionATPGIsolation(t *testing.T) {
 	c := circuit.C17()
 	faults := Collapse(c, FaultUniverse(c))
@@ -340,24 +342,30 @@ func TestSessionATPGIsolation(t *testing.T) {
 	if first.Detected != second.Detected || first.Redundant != second.Redundant {
 		t.Fatalf("run 1 %d/%d vs run 2 %d/%d", first.Detected, first.Redundant, second.Detected, second.Redundant)
 	}
+
+	opened := m.Stats().Opened
+	if rep, err := GenerateTestsSessionFor(context.Background(), m, c, faults, Options{Structural: true}); err == nil || rep != nil {
+		t.Fatalf("structural session run: report %v, err %v; want an error", rep, err)
+	}
+	if st := m.Stats(); st.Opened != opened || st.Sessions != 0 {
+		t.Fatalf("refused run opened %d sessions, %d registered", st.Opened-opened, st.Sessions)
+	}
 }
 
 // TestFaultsContextCancel: a cancelled context aborts the remaining
-// faults without SAT calls, for both engines and the session path.
+// faults without SAT calls, on the one-shot path and the session path.
 func TestFaultsContextCancel(t *testing.T) {
 	c := circuit.RandomDAG(8, 40, 3, 7)
 	faults := Collapse(c, FaultUniverse(c))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, opts := range []Options{{}, {Incremental: true}} {
-		rep := TestFaultsContext(ctx, c, faults, opts)
-		if rep.Aborted != rep.Total || rep.Detected != 0 {
-			t.Fatalf("opts %+v: cancelled run aborted %d of %d, detected %d", opts, rep.Aborted, rep.Total, rep.Detected)
-		}
-		if len(rep.Results) != rep.Total {
-			t.Fatalf("cancelled run lost results: %d of %d", len(rep.Results), rep.Total)
-		}
+	rep := TestFaultsContext(ctx, c, faults, Options{})
+	if rep.Aborted != rep.Total || rep.Detected != 0 {
+		t.Fatalf("cancelled run aborted %d of %d, detected %d", rep.Aborted, rep.Total, rep.Detected)
+	}
+	if len(rep.Results) != rep.Total {
+		t.Fatalf("cancelled run lost results: %d of %d", len(rep.Results), rep.Total)
 	}
 
 	m := session.NewManager(session.Config{})
@@ -371,21 +379,53 @@ func TestFaultsContextCancel(t *testing.T) {
 	}
 }
 
-// TestIncrementalCloneMidFaultList forks the shared solver halfway down
-// a fault list — after hundreds of level-0 sweeps — and runs the rest of
-// the list on the original and on two forks of the same checkpoint. The
-// retired-variable flags and the sweep trigger travel with the image:
-// the forks agree with the original on every verdict, with each other
-// on every search count, and a checkpoint of a fork is as large as the
-// one it came from. Run under -race (the forks solve concurrently).
-func TestIncrementalCloneMidFaultList(t *testing.T) {
+// coneSolver runs cone queries on one in-process solver the way a
+// session runs them: add the guarded cone, solve under its activation
+// literal, retire it with the unit ¬act.
+type coneSolver struct {
+	cones *coneEncoder
+	s     *solver.Solver
+}
+
+// testFault returns the fault's verdict and the conflicts and decisions
+// its query took.
+func (cs *coneSolver) testFault(flt Fault) (Status, solver.Stats) {
+	q := cs.cones.build(flt, cs.s.NumVars())
+	if q == nil {
+		return Redundant, solver.Stats{}
+	}
+	for _, cl := range q.clauses {
+		cs.s.AddClause(cl)
+	}
+	before := cs.s.Stats
+	verdict := cs.s.Solve(cnf.PosLit(q.act))
+	cs.s.AddClause(cnf.Clause{cnf.NegLit(q.act)})
+	delta := solver.Stats{Conflicts: cs.s.Stats.Conflicts - before.Conflicts, Decisions: cs.s.Stats.Decisions - before.Decisions}
+	switch verdict {
+	case solver.Sat:
+		return Detected, delta
+	case solver.Unsat:
+		return Redundant, delta
+	}
+	return Aborted, delta
+}
+
+// TestConeQueriesCloneMidFaultList forks a solver running cone queries
+// halfway down a fault list — after hundreds of level-0 sweeps — and
+// runs the rest of the list on the original and on two forks of the
+// same checkpoint. The retired-variable flags and the sweep trigger
+// travel with the image: the forks agree with the original on every
+// verdict, with each other on every search count, and a checkpoint of a
+// fork is as large as the one it came from. Run under -race (the forks
+// solve concurrently).
+func TestConeQueriesCloneMidFaultList(t *testing.T) {
 	c := circuit.RippleCarryAdder(16)
 	faults := Collapse(c, FaultUniverse(c))
-	opts := Options{MaxConflicts: 20000}
-	orig := newIncremental(c, opts)
+	enc := circuit.Encode(c)
+	orig := &coneSolver{newConeEncoder(c, enc), solver.FromFormula(enc.F, solver.Options{MaxConflicts: defaultMaxConflicts})}
 	half := len(faults) / 2
 	for _, flt := range faults[:half] {
-		orig.testFault(context.Background(), flt)
+		orig.testFault(flt)
 	}
 	if orig.s.Stats.Sweeps == 0 || orig.s.Stats.RetiredVars == 0 {
 		t.Fatalf("no sweep in the first half of the list: %+v", orig.s.Stats)
@@ -394,43 +434,49 @@ func TestIncrementalCloneMidFaultList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forks := make([]*incrementalATPG, 2)
+	forks := make([]*coneSolver, 2)
 	for i := range forks {
 		s := ck.Restore()
 		if s.NumLiveVars() != orig.s.NumLiveVars() || s.NumClauses() != orig.s.NumClauses() {
 			t.Fatalf("fork holds %d live vars / %d clauses, original %d / %d",
 				s.NumLiveVars(), s.NumClauses(), orig.s.NumLiveVars(), orig.s.NumClauses())
 		}
-		forks[i] = &incrementalATPG{c: c, enc: orig.enc, cones: newConeEncoder(c, orig.enc), s: s, opts: opts, prev: s.Stats}
+		forks[i] = &coneSolver{newConeEncoder(c, enc), s}
 	}
 	if ck2, err := forks[0].s.Checkpoint(); err != nil || ck2.Bytes() != ck.Bytes() {
 		t.Fatalf("image of a fork: %d bytes (err %v), original image %d", ck2.Bytes(), err, ck.Bytes())
 	}
 
+	type outcome struct {
+		status Status
+		stats  solver.Stats
+	}
 	rest := faults[half:]
-	results := make([][]FaultResult, len(forks))
+	results := make([][]outcome, len(forks))
 	var wg sync.WaitGroup
 	for i, f := range forks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for _, flt := range rest {
-				results[i] = append(results[i], f.testFault(context.Background(), flt))
+				st, delta := f.testFault(flt)
+				results[i] = append(results[i], outcome{st, delta})
 			}
 		}()
 	}
-	var want []FaultResult
+	var want []Status
 	for _, flt := range rest {
-		want = append(want, orig.testFault(context.Background(), flt))
+		st, _ := orig.testFault(flt)
+		want = append(want, st)
 	}
 	wg.Wait()
 	for j, flt := range rest {
 		a, b := results[0][j], results[1][j]
-		if a.Status != want[j].Status || b.Status != want[j].Status {
-			t.Fatalf("fault %s: forks %s / %s, original %s", flt, a.Status, b.Status, want[j].Status)
+		if a.status != want[j] || b.status != want[j] {
+			t.Fatalf("fault %s: forks %s / %s, original %s", flt, a.status, b.status, want[j])
 		}
-		if *a.satStats != *b.satStats {
-			t.Fatalf("fault %s: forks of one image diverged: %+v vs %+v", flt, *a.satStats, *b.satStats)
+		if a.stats != b.stats {
+			t.Fatalf("fault %s: forks of one image diverged: %+v vs %+v", flt, a.stats, b.stats)
 		}
 	}
 	if a, b := forks[0].s.Stats, forks[1].s.Stats; a != b {

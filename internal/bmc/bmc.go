@@ -128,6 +128,31 @@ func (q *Sequential) InitialState() []bool {
 	return st
 }
 
+// InitLatches adds frame 0's reset state to s: one unit per latch with
+// a defined Init value, over the latch outputs' variables vars (indexed
+// by NodeID).
+func (q *Sequential) InitLatches(s *solver.Solver, vars []cnf.Var) {
+	for i, l := range q.Latches {
+		switch q.Init[i] {
+		case cnf.True:
+			s.AddClause(cnf.Clause{cnf.PosLit(vars[l.Output])})
+		case cnf.False:
+			s.AddClause(cnf.Clause{cnf.NegLit(vars[l.Output])})
+		}
+	}
+}
+
+// TieLatches adds the transition between two consecutive frames to s:
+// each latch output of cur equals its input in prev (q_t ↔ d_{t−1}).
+// cur and prev are node variables indexed by NodeID.
+func (q *Sequential) TieLatches(s *solver.Solver, cur, prev []cnf.Var) {
+	for _, l := range q.Latches {
+		qv, d := cur[l.Output], prev[l.Input]
+		s.AddClause(cnf.Clause{cnf.NegLit(qv), cnf.PosLit(d)})
+		s.AddClause(cnf.Clause{cnf.PosLit(qv), cnf.NegLit(d)})
+	}
+}
+
 // Trace is a counterexample: per-frame free-input vectors leading from
 // the initial state to a bad state.
 type Trace struct {
@@ -194,28 +219,11 @@ func (u *unroller) addFrame() cnf.Lit {
 	vars := make([]cnf.Var, len(u.q.Comb.Nodes))
 	copy(vars, enc.VarOf)
 	u.varOf = append(u.varOf, vars)
-	for u.s.NumVars() < scratch.NumVars() {
-		u.s.NewVar()
-	}
-	for _, cl := range scratch.Clauses {
-		u.s.AddClause(cl)
-	}
+	u.s.AddFormula(scratch)
 	if t == 0 {
-		for i, l := range u.q.Latches {
-			switch u.q.Init[i] {
-			case cnf.True:
-				u.s.AddClause(cnf.Clause{cnf.PosLit(vars[l.Output])})
-			case cnf.False:
-				u.s.AddClause(cnf.Clause{cnf.NegLit(vars[l.Output])})
-			}
-		}
+		u.q.InitLatches(u.s, vars)
 	} else {
-		prev := u.varOf[t-1]
-		for _, l := range u.q.Latches {
-			q, d := vars[l.Output], prev[l.Input]
-			u.s.AddClause(cnf.Clause{cnf.NegLit(q), cnf.PosLit(d)})
-			u.s.AddClause(cnf.Clause{cnf.PosLit(q), cnf.NegLit(d)})
-		}
+		u.q.TieLatches(u.s, vars, u.varOf[t-1])
 	}
 	return cnf.PosLit(vars[u.q.Bad])
 }
@@ -322,12 +330,7 @@ func Induction(q *Sequential, k int, opts Options) (bool, bool) {
 	addFrame := func() []cnf.Var {
 		scratch := cnf.New(s.NumVars())
 		enc := circuit.EncodeInto(scratch, q.Comb)
-		for s.NumVars() < scratch.NumVars() {
-			s.NewVar()
-		}
-		for _, cl := range scratch.Clauses {
-			s.AddClause(cl)
-		}
+		s.AddFormula(scratch)
 		vars := make([]cnf.Var, len(q.Comb.Nodes))
 		copy(vars, enc.VarOf)
 		frames = append(frames, vars)
@@ -336,12 +339,7 @@ func Induction(q *Sequential, k int, opts Options) (bool, bool) {
 	for t := 0; t <= k; t++ {
 		vars := addFrame()
 		if t > 0 {
-			prev := frames[t-1]
-			for _, l := range q.Latches {
-				qv, d := vars[l.Output], prev[l.Input]
-				s.AddClause(cnf.Clause{cnf.NegLit(qv), cnf.PosLit(d)})
-				s.AddClause(cnf.Clause{cnf.PosLit(qv), cnf.NegLit(d)})
-			}
+			q.TieLatches(s, vars, frames[t-1])
 		}
 		if t < k {
 			s.AddClause(cnf.Clause{cnf.NegLit(vars[q.Bad])}) // ¬bad_t
@@ -358,12 +356,7 @@ func Induction(q *Sequential, k int, opts Options) (bool, bool) {
 				d := scratch.NewVar()
 				circuit.AppendGateCNF(scratch, circuit.Xor, d,
 					[]cnf.Var{frames[i][l.Output], frames[j][l.Output]})
-				for s.NumVars() < scratch.NumVars() {
-					s.NewVar()
-				}
-				for _, cl := range scratch.Clauses {
-					s.AddClause(cl)
-				}
+				s.AddFormula(scratch)
 				diff = append(diff, cnf.PosLit(d))
 			}
 			if len(diff) > 0 {

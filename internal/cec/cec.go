@@ -300,12 +300,7 @@ func checkInternal(ctx context.Context, a, b *circuit.Circuit, opts Options) (*R
 		d := s.NewVar()
 		scratch := cnf.New(s.NumVars())
 		circuit.AppendGateCNF(scratch, circuit.Xor, d, []cnf.Var{enc.VarOf[p.u], enc.VarOf[p.v]})
-		for s.NumVars() < scratch.NumVars() {
-			s.NewVar()
-		}
-		for _, cl := range scratch.Clauses {
-			s.AddClause(cl)
-		}
+		s.AddFormula(scratch)
 		res.SATCalls++
 		switch s.Solve(cnf.PosLit(d)) {
 		case solver.Unsat:

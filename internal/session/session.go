@@ -101,8 +101,9 @@ type Config struct {
 	// Each query additionally carries its own span trace regardless.
 	Obs *obs.Registry
 	// Solver carries base solver options for new sessions. The
-	// cooperation hooks and LogProof must be left unset (sessions
-	// checkpoint, which those configurations cannot).
+	// cooperation hooks and both proof sinks (LogProof, Proof) must be
+	// left unset (sessions checkpoint, which those configurations
+	// cannot).
 	Solver solver.Options
 }
 
@@ -211,7 +212,7 @@ func NewManager(cfg Config) *Manager {
 // heuristic state.
 func (m *Manager) Open(f *cnf.Formula, warm ...solver.WarmVar) (*Session, error) {
 	opts := m.cfg.Solver
-	if opts.LogProof || opts.ExportClause != nil || opts.ImportClauses != nil {
+	if opts.LogProof || opts.Proof != nil || opts.ExportClause != nil || opts.ImportClauses != nil {
 		// Checkpointing strips or rejects these; refuse up front instead
 		// of failing on the first idle demotion.
 		return nil, errors.New("session: solver options incompatible with checkpointing")

@@ -383,12 +383,18 @@ func TestManagerClosedOpen(t *testing.T) {
 	}
 }
 
-// TestManagerRejectsUncheckpointable pins the Open-time option check.
+// TestManagerRejectsUncheckpointable pins the Open-time option check:
+// neither proof sink can be checkpointed, so neither may open a session.
 func TestManagerRejectsUncheckpointable(t *testing.T) {
-	m := NewManager(Config{Solver: solver.Options{LogProof: true}})
-	defer m.Close()
-	if _, err := m.Open(gen.RandomKSAT(5, 10, 3, 1)); err == nil {
-		t.Fatal("LogProof session was accepted")
+	for name, opts := range map[string]solver.Options{
+		"LogProof": {LogProof: true},
+		"Proof":    {Proof: &solver.Proof{}},
+	} {
+		m := NewManager(Config{Solver: opts})
+		if _, err := m.Open(gen.RandomKSAT(5, 10, 3, 1)); err == nil {
+			t.Errorf("%s session was accepted", name)
+		}
+		m.Close()
 	}
 }
 

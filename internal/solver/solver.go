@@ -308,6 +308,21 @@ func (s *Solver) Core() []cnf.Lit {
 	return out
 }
 
+// AddFormula grows the solver to f's variable count, then adds every
+// clause of f. This is how an incremental client adds one frame, cone
+// or miter pair that it built in a scratch formula numbered from
+// NumVars(). The explicit growth matters: a variable that no clause
+// mentions (an input that feeds nothing) must still be allocated, or
+// the next scratch formula would reuse its number. It returns false
+// once the database is trivially unsatisfiable.
+func (s *Solver) AddFormula(f *cnf.Formula) bool {
+	s.growTo(f.NumVars())
+	for _, cl := range f.Clauses {
+		s.AddClause(cl)
+	}
+	return s.ok
+}
+
 // decisionLevel returns the current decision level d of Figure 2.
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 

@@ -235,6 +235,18 @@ func TestIncrementalNewVar(t *testing.T) {
 	if m.Value(v) != cnf.True {
 		t.Fatal("new var should be implied true")
 	}
+	// AddFormula allocates a frame's variables even when no clause
+	// mentions them, so the next frame numbers past them.
+	f := cnf.New(s.NumVars())
+	w := f.NewVar()
+	f.Add(cnf.NegLit(w))
+	f.NewVar() // the frame's last variable feeds nothing
+	if !s.AddFormula(f) || s.NumVars() != f.NumVars() {
+		t.Fatalf("AddFormula: %d vars, formula has %d", s.NumVars(), f.NumVars())
+	}
+	if mustSat(t, s).Value(w) != cnf.False {
+		t.Fatal("AddFormula's clause not in effect")
+	}
 }
 
 func TestBudgets(t *testing.T) {
