@@ -21,7 +21,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/cover"
-	"repro/internal/csat"
 	"repro/internal/delay"
 	"repro/internal/dpll"
 	"repro/internal/euf"
@@ -227,55 +226,6 @@ func BenchmarkE07_RecLearnRedundant(b *testing.B) {
 		b.ReportMetric(float64(conflicts), "conflicts")
 		b.ReportMetric(float64(proved), "provedByLearning")
 	})
-}
-
-// E8 (Tables 2-3 / §5): solving circuit objectives with and without the
-// justification-frontier layer.
-func BenchmarkE08_JustificationLayer(b *testing.B) {
-	c := circuit.MuxTree(4)
-	for _, layered := range []bool{false, true} {
-		name := "plain"
-		if layered {
-			name = "structural"
-		}
-		b.Run(name, func(b *testing.B) {
-			var decisions int64
-			for i := 0; i < b.N; i++ {
-				f, enc := circuit.EncodeProperty(c, c.Outputs[0], true)
-				s := solver.FromFormula(f, solver.Options{})
-				if layered {
-					csat.Attach(c, enc, s, csat.Options{Backtrace: true})
-				}
-				if s.Solve() != solver.Sat {
-					b.Fatal("mux objective must be SAT")
-				}
-				decisions = s.Stats.Decisions
-			}
-			b.ReportMetric(float64(decisions), "decisions")
-		})
-	}
-}
-
-// E9 (§5): overspecification — fraction of specified primary inputs in
-// ATPG patterns, plain CNF vs structural layer.
-func BenchmarkE09_SpecifiedInputs(b *testing.B) {
-	c := circuit.MuxTree(4)
-	for _, structural := range []bool{false, true} {
-		name := "plain"
-		if structural {
-			name = "structural"
-		}
-		b.Run(name, func(b *testing.B) {
-			var frac float64
-			for i := 0; i < b.N; i++ {
-				rep := atpg.GenerateTests(c, atpg.Options{Structural: structural, Seed: 2})
-				if rep.PatternBits > 0 {
-					frac = float64(rep.SpecifiedBits) / float64(rep.PatternBits)
-				}
-			}
-			b.ReportMetric(100*frac, "%specified")
-		})
-	}
 }
 
 // E10 (§6): equivalency reasoning on equivalence-rich formulas — a hard
@@ -800,21 +750,23 @@ func BenchmarkE28_ProofLogging(b *testing.B) {
 	b.Run("solve+log", func(b *testing.B) {
 		var lemmas int
 		for i := 0; i < b.N; i++ {
-			s := solver.FromFormula(f, solver.Options{LogProof: true})
+			proof := &solver.Proof{}
+			s := solver.FromFormula(f, solver.Options{Proof: proof})
 			if s.Solve() != solver.Unsat {
 				b.Fatal("UNSAT expected")
 			}
-			lemmas = s.Proof().NumLemmas()
+			lemmas = proof.NumLemmas()
 		}
 		b.ReportMetric(float64(lemmas), "lemmas")
 	})
 	b.Run("solve+log+verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := solver.FromFormula(f, solver.Options{LogProof: true})
+			proof := &solver.Proof{}
+			s := solver.FromFormula(f, solver.Options{Proof: proof})
 			if s.Solve() != solver.Unsat {
 				b.Fatal("UNSAT expected")
 			}
-			if err := solver.VerifyUnsat(f, s.Proof()); err != nil {
+			if err := solver.VerifyUnsat(f, proof); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -132,7 +132,8 @@ func TestIntegrationFourWayAgreement(t *testing.T) {
 			for _, objective := range []bool{false, true} {
 				f, enc := circuit.EncodeProperty(c, out, objective)
 
-				plain := solver.FromFormula(f, solver.Options{LogProof: true})
+				proof := &solver.Proof{}
+				plain := solver.FromFormula(f, solver.Options{Proof: proof})
 				st1 := plain.Solve()
 
 				s2 := solver.FromFormula(f, solver.Options{})
@@ -160,7 +161,7 @@ func TestIntegrationFourWayAgreement(t *testing.T) {
 						t.Fatalf("seed %d: pipeline model fails", seed)
 					}
 				case solver.Unsat:
-					if err := solver.VerifyUnsat(f, plain.Proof()); err != nil {
+					if err := solver.VerifyUnsat(f, proof); err != nil {
 						t.Fatalf("seed %d: UNSAT proof rejected: %v", seed, err)
 					}
 				}
@@ -209,14 +210,15 @@ func TestIntegrationDIMACSRoundTripSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1 := solver.FromFormula(f, solver.Options{LogProof: true})
-		s2 := solver.FromFormula(g, solver.Options{LogProof: true})
+		proof := &solver.Proof{}
+		s1 := solver.FromFormula(f, solver.Options{Proof: proof})
+		s2 := solver.FromFormula(g, solver.Options{Proof: &solver.Proof{}})
 		st1, st2 := s1.Solve(), s2.Solve()
 		if st1 != st2 {
 			t.Fatalf("seed %d: round trip changed verdict", seed)
 		}
 		if st1 == solver.Unsat {
-			if err := solver.VerifyUnsat(f, s1.Proof()); err != nil {
+			if err := solver.VerifyUnsat(f, proof); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -38,8 +38,8 @@ type Options struct {
 }
 
 // Layer is the circuit-structure theory attached to a solver. Create it
-// with Attach; it then observes assignments through the solver's Theory
-// hook.
+// with Attach; the solver then hands it the trail (solver.Theory) right
+// before each Done and Suggest call.
 type Layer struct {
 	c    *circuit.Circuit
 	enc  *circuit.Encoding
@@ -62,8 +62,8 @@ type Layer struct {
 }
 
 // Attach builds the layer for circuit c encoded as enc and installs it on
-// the solver. Any assignments already on the solver's trail (top-level
-// units) are replayed into the counters.
+// the solver. Assignments already on the solver's trail (top-level units)
+// reach the counters with the solver's first hand-over.
 func Attach(c *circuit.Circuit, enc *circuit.Encoding, s *solver.Solver, opts Options) *Layer {
 	l := &Layer{
 		c:      c,
@@ -90,15 +90,6 @@ func Attach(c *circuit.Circuit, enc *circuit.Encoding, s *solver.Solver, opts Op
 		l.u[1][i] = int32(u1)
 	}
 	s.SetTheory(l)
-	// Replay assignments made before attachment (level-0 facts).
-	for v := cnf.Var(1); int(v) <= s.NumVars() && int(v) < len(l.nodeOf); v++ {
-		switch s.Value(v) {
-		case cnf.True:
-			l.OnAssign(cnf.PosLit(v))
-		case cnf.False:
-			l.OnAssign(cnf.NegLit(v))
-		}
-	}
 	return l
 }
 
@@ -205,30 +196,26 @@ func (l *Layer) refreshFrontier(id circuit.NodeID) {
 	}
 }
 
-// OnAssign implements solver.Theory.
-func (l *Layer) OnAssign(lit cnf.Lit) {
-	v := lit.Var()
-	if int(v) >= len(l.nodeOf) {
-		return
-	}
-	id := l.nodeOf[v]
-	if id == circuit.NoNode {
-		return
-	}
-	val := !lit.IsNeg()
-	l.value[id] = cnf.FromBool(val)
-	l.refreshFrontier(id)
-	// Update the justification counters of every fanout gate (Table 3).
-	for _, g := range l.fanoutsOf(id) {
-		d0, d1 := CounterDeltas(l.c.Nodes[g].Type, val)
-		l.t[0][g] += int32(d0)
-		l.t[1][g] += int32(d1)
-		l.refreshFrontier(g)
+// Assign implements solver.Theory.
+func (l *Layer) Assign(lits []cnf.Lit) {
+	for _, lit := range lits {
+		l.update(lit, 1)
 	}
 }
 
-// OnUnassign implements solver.Theory.
-func (l *Layer) OnUnassign(lit cnf.Lit) {
+// Unassign implements solver.Theory.
+func (l *Layer) Unassign(lits []cnf.Lit) {
+	for i := len(lits) - 1; i >= 0; i-- {
+		l.update(lits[i], -1)
+	}
+}
+
+// update applies lit becoming true (dir 1) or being erased (dir -1) to
+// its node's value and to the justification counters of every fanout
+// gate (Table 3). The counters are sums and the frontier follows the
+// final values, so the layer's state depends only on which literals are
+// assigned, not on the order they arrived in.
+func (l *Layer) update(lit cnf.Lit, dir int32) {
 	v := lit.Var()
 	if int(v) >= len(l.nodeOf) {
 		return
@@ -239,11 +226,14 @@ func (l *Layer) OnUnassign(lit cnf.Lit) {
 	}
 	val := !lit.IsNeg()
 	l.value[id] = cnf.Undef
+	if dir > 0 {
+		l.value[id] = cnf.FromBool(val)
+	}
 	l.refreshFrontier(id)
 	for _, g := range l.fanoutsOf(id) {
 		d0, d1 := CounterDeltas(l.c.Nodes[g].Type, val)
-		l.t[0][g] -= int32(d0)
-		l.t[1][g] -= int32(d1)
+		l.t[0][g] += dir * int32(d0)
+		l.t[1][g] += dir * int32(d1)
 		l.refreshFrontier(g)
 	}
 }

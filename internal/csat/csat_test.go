@@ -178,23 +178,23 @@ func TestFrontierLifecycle(t *testing.T) {
 	if len(l.Frontier()) != 0 {
 		t.Fatalf("frontier should start empty: %v", l.Frontier())
 	}
-	// Simulate assignment of g=0 via OnAssign.
-	l.OnAssign(cnf.NegLit(enc.VarOf[g]))
+	// Simulate assignment of g=0 via Assign.
+	l.Assign([]cnf.Lit{cnf.NegLit(enc.VarOf[g])})
 	if len(l.Frontier()) != 1 || l.Frontier()[0] != g {
 		t.Fatalf("g should be unjustified: %v", l.Frontier())
 	}
 	// Assign a=0: justifies g=0.
-	l.OnAssign(cnf.NegLit(enc.VarOf[a]))
+	l.Assign([]cnf.Lit{cnf.NegLit(enc.VarOf[a])})
 	if len(l.Frontier()) != 0 {
 		t.Fatalf("g should be justified: %v", l.Frontier())
 	}
 	// Retract a: unjustified again.
-	l.OnUnassign(cnf.NegLit(enc.VarOf[a]))
+	l.Unassign([]cnf.Lit{cnf.NegLit(enc.VarOf[a])})
 	if len(l.Frontier()) != 1 {
 		t.Fatal("retraction should re-open the frontier")
 	}
 	// Retract g.
-	l.OnUnassign(cnf.NegLit(enc.VarOf[g]))
+	l.Unassign([]cnf.Lit{cnf.NegLit(enc.VarOf[g])})
 	if len(l.Frontier()) != 0 {
 		t.Fatal("frontier should be empty after retracting g")
 	}
@@ -226,6 +226,33 @@ func TestSideClausesBlockEarlyStop(t *testing.T) {
 	}
 }
 
+// checkCounters recomputes the Table 3 counters and the justification
+// frontier from the layer's node values and compares them with the
+// running ones the solver's hand-overs maintained.
+func checkCounters(t *testing.T, name string, l *Layer) {
+	t.Helper()
+	frontier := 0
+	for id, n := range l.c.Nodes {
+		var want [2]int32
+		for _, f := range n.Fanin {
+			if v := l.value[f]; v != cnf.Undef {
+				d0, d1 := CounterDeltas(n.Type, v == cnf.True)
+				want[0] += int32(d0)
+				want[1] += int32(d1)
+			}
+		}
+		if got := [2]int32{l.t[0][id], l.t[1][id]}; got != want {
+			t.Fatalf("%s node %d: counters %v, recomputed %v", name, id, got, want)
+		}
+		if l.needsJustification(circuit.NodeID(id)) {
+			frontier++
+		}
+	}
+	if l.nFrontier != frontier {
+		t.Fatalf("%s: nFrontier %d, recomputed %d", name, l.nFrontier, frontier)
+	}
+}
+
 func TestPartialPatternsOnGeneratedCircuits(t *testing.T) {
 	// Across circuit families: every SAT answer's partial pattern must
 	// establish the objective under three-valued simulation (soundness
@@ -244,6 +271,7 @@ func TestPartialPatternsOnGeneratedCircuits(t *testing.T) {
 				s := solver.FromFormula(f, solver.Options{})
 				l := Attach(c, enc, s, Options{Backtrace: true})
 				st := s.Solve()
+				checkCounters(t, name, l)
 				// Cross-check with a plain solver.
 				plain := solver.FromFormula(f, solver.Options{})
 				if pst := plain.Solve(); pst != st {
@@ -276,7 +304,7 @@ func TestBacktraceSuggestsInputs(t *testing.T) {
 	l := Attach(c, enc, s, Options{Backtrace: true})
 	// Assign g2=1 manually: frontier = {g2}; backtrace should suggest
 	// the first unassigned fanin path: g1 → a with value true.
-	l.OnAssign(cnf.PosLit(enc.VarOf[g2]))
+	l.Assign([]cnf.Lit{cnf.PosLit(enc.VarOf[g2])})
 	sug := l.Suggest()
 	if sug == cnf.LitUndef {
 		t.Fatal("expected a suggestion")
@@ -291,7 +319,7 @@ func TestSuggestDisabledWithoutOption(t *testing.T) {
 	enc := circuit.Encode(c)
 	s := solver.FromFormula(enc.F, solver.Options{})
 	l := Attach(c, enc, s, Options{})
-	l.OnAssign(cnf.PosLit(enc.VarOf[c.Outputs[0]]))
+	l.Assign([]cnf.Lit{cnf.PosLit(enc.VarOf[c.Outputs[0]])})
 	if l.Suggest() != cnf.LitUndef {
 		t.Fatal("Suggest should be silent without Backtrace option")
 	}

@@ -110,8 +110,8 @@ type Options struct {
 	// Base is the configuration worker 0 runs verbatim and later workers
 	// diversify from.
 	//
-	// Proof mode: when Base requests a proof (Base.LogProof or a
-	// Base.Proof sink), worker 0 becomes the designated proof worker —
+	// Proof mode: when Base requests a proof (a Base.Proof sink),
+	// worker 0 becomes the designated proof worker —
 	// it alone streams DRAT, stays out of the shared pool (importing
 	// foreign clauses would poison the proof; its own exports are
 	// withheld so an idle pool cursor cannot pin the backlog and choke
@@ -335,7 +335,7 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 	}
 	// Proof mode: worker 0 streams the proof and stays out of the pool;
 	// everyone else races and shares as usual (Options.Base).
-	proofMode := p.opts.Base.LogProof || p.opts.Base.Proof != nil
+	proofMode := p.opts.Base.Proof != nil
 	share := !p.opts.NoShare && n > 1
 	shared := newPool(p.opts.PoolCap, n, p.opts.PoolQuantile)
 
@@ -360,7 +360,6 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 		if proofMode && !proofWorker {
 			// Only the designated worker carries the proof burden; its
 			// siblings run the diversified recipes unencumbered.
-			o.LogProof = false
 			o.Proof = nil
 		}
 		if share && !proofWorker {

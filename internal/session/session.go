@@ -101,9 +101,8 @@ type Config struct {
 	// Each query additionally carries its own span trace regardless.
 	Obs *obs.Registry
 	// Solver carries base solver options for new sessions. The
-	// cooperation hooks and both proof sinks (LogProof, Proof) must be
-	// left unset (sessions checkpoint, which those configurations
-	// cannot).
+	// cooperation hooks and the proof sink must be left unset (sessions
+	// checkpoint, which those configurations cannot).
 	Solver solver.Options
 }
 
@@ -212,7 +211,7 @@ func NewManager(cfg Config) *Manager {
 // heuristic state.
 func (m *Manager) Open(f *cnf.Formula, warm ...solver.WarmVar) (*Session, error) {
 	opts := m.cfg.Solver
-	if opts.LogProof || opts.Proof != nil || opts.ExportClause != nil || opts.ImportClauses != nil {
+	if opts.Proof != nil || opts.ExportClause != nil || opts.ImportClauses != nil {
 		// Checkpointing strips or rejects these; refuse up front instead
 		// of failing on the first idle demotion.
 		return nil, errors.New("session: solver options incompatible with checkpointing")

@@ -384,11 +384,13 @@ func TestManagerClosedOpen(t *testing.T) {
 }
 
 // TestManagerRejectsUncheckpointable pins the Open-time option check:
-// neither proof sink can be checkpointed, so neither may open a session.
+// a proof sink cannot be checkpointed and the cooperation hooks would be
+// stripped by one, so none of them may open a session.
 func TestManagerRejectsUncheckpointable(t *testing.T) {
 	for name, opts := range map[string]solver.Options{
-		"LogProof": {LogProof: true},
-		"Proof":    {Proof: &solver.Proof{}},
+		"Proof":         {Proof: &solver.Proof{}},
+		"ExportClause":  {ExportClause: func([]cnf.Lit, int) bool { return true }},
+		"ImportClauses": {ImportClauses: func() []cnf.Clause { return nil }},
 	} {
 		m := NewManager(Config{Solver: opts})
 		if _, err := m.Open(gen.RandomKSAT(5, 10, 3, 1)); err == nil {

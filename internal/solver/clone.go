@@ -36,15 +36,10 @@ import (
 // The image is taken after an arena compaction, so a checkpoint holds no
 // tombstones and its Bytes() reflect live state only.
 
-// errors returned by Checkpoint.
-var (
-	// ErrCheckpointTheory: a structural theory holds justification state
-	// outside the solver; its image cannot be captured here.
-	ErrCheckpointTheory = errors.New("solver: cannot checkpoint a solver with a theory attached")
-	// ErrCheckpointProof: a proof log is a derivation history, not solver
-	// state; a fork would hold lemmas it did not derive.
-	ErrCheckpointProof = errors.New("solver: cannot checkpoint a solver with proof logging enabled")
-)
+// ErrCheckpointProof is returned by Checkpoint for a solver with a proof
+// sink: a proof is a derivation history, not solver state; a fork would
+// hold lemmas it did not derive.
+var ErrCheckpointProof = errors.New("solver: cannot checkpoint a solver with proof logging enabled")
 
 // Checkpoint is a frozen level-0 image of a solver. It shares no mutable
 // state with the solver it was taken from or with any solver restored
@@ -87,12 +82,11 @@ type Checkpoint struct {
 // (ExportClause/ImportClauses) are stripped from the image: a restored
 // fork must not feed a clause pool it was never registered with.
 //
-// Solvers with a theory attached or proof logging enabled cannot be
-// checkpointed (see the error values).
+// A theory is not part of the image: its state follows from the trail,
+// so one installed on a restored solver with SetTheory catches up at
+// its first hand-over. A solver with a proof sink cannot be
+// checkpointed (ErrCheckpointProof).
 func (s *Solver) Checkpoint() (*Checkpoint, error) {
-	if s.theory != nil {
-		return nil, ErrCheckpointTheory
-	}
 	if s.proof != nil {
 		return nil, ErrCheckpointProof
 	}

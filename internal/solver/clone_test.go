@@ -125,9 +125,9 @@ func TestCloneWarmStart(t *testing.T) {
 
 // TestCloneRejects pins the unsupported configurations.
 func TestCloneRejects(t *testing.T) {
-	s := FromFormula(gen.RandomKSAT(10, 30, 3, 1), Options{LogProof: true})
+	s := FromFormula(gen.RandomKSAT(10, 30, 3, 1), Options{Proof: &Proof{}})
 	if _, err := s.Checkpoint(); err != ErrCheckpointProof {
-		t.Fatalf("LogProof checkpoint: %v", err)
+		t.Fatalf("proof-logging checkpoint: %v", err)
 	}
 }
 

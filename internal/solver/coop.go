@@ -227,7 +227,7 @@ func (s *Solver) lbd(lits []cnf.Lit) int {
 // queue at level 0. It returns false if an imported clause (all of which
 // are consequences of the problem clauses) closes the formula — i.e. the
 // database became unsatisfiable. Import is suppressed while a proof is
-// being streamed (Options.Proof / LogProof): foreign clauses are not
+// being streamed (Options.Proof): foreign clauses are not
 // RUP steps of this solver's lemma sequence, so they would poison an
 // otherwise verifiable refutation.
 func (s *Solver) importShared() bool {

@@ -28,7 +28,7 @@ var fuzzConfigs = []Options{
 	// slice-of-slices watcher store held: seed corpus bytes index this
 	// slice, so slots are reused, never removed.
 	{NoLearning: true, Decide: DecideDLIS, NoPhaseSaving: true},
-	{LogProof: true},
+	{Proof: logProof},
 	{MaxLearnts: 1},
 	// Inprocessing configurations (aggressive cadence so restart
 	// boundaries — and therefore rounds — happen even on tiny
@@ -42,8 +42,25 @@ var fuzzConfigs = []Options{
 	// fast restart cadence forces reduceDB, so the stream carries "d"
 	// lines and the checker's deletion handling is exercised. Appended
 	// after the older entries — seed corpus bytes index this slice.
-	{LogProof: true, MaxLearnts: 1, Restart: RestartFixed, RestartBase: 2},
-	{LogProof: true, NoLearning: true, Chronological: true},
+	{Proof: logProof, MaxLearnts: 1, Restart: RestartFixed, RestartBase: 2},
+	{Proof: logProof, NoLearning: true, Chronological: true},
+}
+
+// logProof marks a palette slot that records its proof. It is a typed
+// nil: every run swaps in a fresh *Proof of its own (withFreshProof), and
+// a run that did not would panic on its first lemma instead of sharing
+// one log with every other run through the static table.
+var logProof ProofWriter = (*Proof)(nil)
+
+// withFreshProof gives opts a fresh in-memory proof log when its slot
+// records one, and returns that log (nil otherwise).
+func withFreshProof(opts Options) (Options, *Proof) {
+	if opts.Proof == nil {
+		return opts, nil
+	}
+	p := &Proof{}
+	opts.Proof = p
+	return opts, p
 }
 
 // decodeFuzzFormula interprets fuzz bytes as a bounded CNF instance
@@ -115,10 +132,10 @@ func fuzzIncremental(data []byte) (Options, bool) {
 // proofs, spanning no deletions, heavy reduceDB deletion pressure, and
 // NoLearning temp clauses.
 var proofFuzzConfigs = []Options{
-	{LogProof: true},
-	{LogProof: true, MaxLearnts: 1, Restart: RestartFixed, RestartBase: 2},
-	{LogProof: true, Deletion: DeleteByRelevance, RelevanceBound: 2, MaxLearnts: 4},
-	{LogProof: true, NoLearning: true},
+	{Proof: logProof},
+	{Proof: logProof, MaxLearnts: 1, Restart: RestartFixed, RestartBase: 2},
+	{Proof: logProof, Deletion: DeleteByRelevance, RelevanceBound: 2, MaxLearnts: 4},
+	{Proof: logProof, NoLearning: true},
 }
 
 // FuzzProofVerify is the proof-pipeline fuzzer: on every generated
@@ -151,7 +168,7 @@ func FuzzProofVerify(f *testing.F) {
 		if formula == nil {
 			t.Skip("undecodable")
 		}
-		opts := proofFuzzConfigs[int(data[1])%len(proofFuzzConfigs)]
+		opts, p := withFreshProof(proofFuzzConfigs[int(data[1])%len(proofFuzzConfigs)])
 		s := New(formula.NumVars(), opts)
 		for i, cl := range formula.Clauses {
 			if i == len(formula.Clauses)/2 && data[0]&0x80 != 0 && s.Solve() == Unsat {
@@ -160,7 +177,6 @@ func FuzzProofVerify(f *testing.F) {
 			s.AddClause(cl)
 		}
 		st := s.Solve()
-		p := s.Proof()
 		if st == Sat {
 			// Soundness: no step stream may refute a satisfiable formula.
 			if err := VerifyUnsat(formula, p); err == nil {
@@ -267,6 +283,7 @@ func FuzzSolverVsBrute(f *testing.F) {
 			return
 		}
 		want, _ := cnf.BruteForce(formula)
+		opts, proof := withFreshProof(opts)
 		s := FromFormula(formula, opts)
 		st := s.Solve()
 		if st == Unknown {
@@ -280,8 +297,8 @@ func FuzzSolverVsBrute(f *testing.F) {
 			if err := VerifyModel(formula, s.Model()); err != nil {
 				t.Fatalf("model rejected: %v on %v (opts %+v)", err, formula, opts)
 			}
-		} else if opts.LogProof {
-			if err := VerifyUnsat(formula, s.Proof()); err != nil {
+		} else if proof != nil {
+			if err := VerifyUnsat(formula, proof); err != nil {
 				t.Fatalf("proof rejected: %v on %v", err, formula)
 			}
 		}

@@ -105,6 +105,8 @@ func (s *Solver) isEliminated(v cnf.Var) bool { return s.varFlags[v]&varElim != 
 // database unsatisfiable.
 func (s *Solver) inprocess(restart int) bool {
 	o := &s.opts
+	// Not under a theory: an eliminated variable never reaches the trail
+	// the theory judges the assignment by.
 	if !o.Inprocess || o.NoLearning || s.theory != nil || s.proof != nil || !s.ok {
 		return s.ok
 	}

@@ -16,7 +16,8 @@
 //   - randomization and restarts (Luby / geometric policies),
 //   - VSIDS- and DLIS-style decision heuristics,
 //   - incremental solving under assumptions with core extraction,
-//   - a structural "theory" hook used by the circuit layer of §5.
+//   - a structural "theory" that sees the trail at decision points, used
+//     by the circuit layer of §5.
 package solver
 
 import "repro/internal/cnf"
@@ -139,9 +140,9 @@ type Options struct {
 	// promoting it in place) and subsumes/strengthens learnt clauses
 	// against the core tier through an occurrence index rebuilt lazily
 	// from the arena headers. Inprocessing is skipped under NoLearning,
-	// proof streaming (LogProof/Proof: in-place strengthening rewrites
-	// clauses instead of extending the lemma sequence), and while a
-	// structural theory is attached.
+	// with a Proof sink (in-place strengthening rewrites clauses instead
+	// of extending the lemma sequence), and while a structural theory is
+	// attached (eliminated variables never reach the trail it sees).
 	Inprocess bool
 
 	// InprocessNoVivify and InprocessNoSubsume veto the individual
@@ -182,21 +183,13 @@ type Options struct {
 	MaxConflicts int64
 	MaxDecisions int64
 
-	// LogProof records the DRAT proof stream — every conflict clause
-	// plus a deletion step for every learnt clause the deletion policy
-	// drops — into an in-memory log retrievable via Proof(); VerifyUnsat
-	// can then independently validate an (assumption-free) Unsat answer.
-	// LogProof disables ImportClauses (see there): a verifiable proof
-	// must be derived entirely by this solver. Ignored when Proof is
-	// also set (the external sink wins and no in-memory log is kept).
-	LogProof bool
-
-	// Proof, when non-nil, streams the same DRAT step sequence to an
-	// external sink as the search runs (e.g. a DRATWriter over a file),
-	// so UNSAT proofs need not grow resident memory. The literal slices
-	// passed to the sink are borrowed and valid only during the call.
-	// Like LogProof it suppresses ImportClauses and inprocessing, and a
-	// solver with a proof sink cannot be checkpointed.
+	// Proof, when non-nil, receives the DRAT stream as the search runs:
+	// every conflict clause, and a deletion for every clause dropped. A
+	// *Proof keeps it in memory for VerifyUnsat (which validates an
+	// assumption-free Unsat answer), a DRATWriter streams it to a file.
+	// The literal slices are borrowed, valid only during the call. A
+	// proof sink suppresses ImportClauses and inprocessing, and a solver
+	// with one cannot be checkpointed.
 	Proof ProofWriter
 
 	// ExportClause, when non-nil, is invoked from the solving goroutine
@@ -226,7 +219,7 @@ type Options struct {
 	// learned by a sibling portfolio worker over the same formula — and
 	// is injected at decision level 0 as a learned clause. The solver
 	// copies the literals, so returned slices may be shared across
-	// workers. Ignored when LogProof is set: foreign clauses are not
+	// workers. Ignored when Proof is set: foreign clauses are not
 	// RUP-derivable in this solver's own lemma sequence, so importing
 	// them would make a correct Unsat answer fail VerifyUnsat.
 	ImportClauses func() []cnf.Clause

@@ -32,10 +32,9 @@ type ProofStep struct {
 }
 
 // Proof is the in-memory ProofWriter: the full DRUP/DRAT step sequence
-// in derivation order. It is what Options.LogProof installs and
-// Solver.Proof returns; tests and the service layer can also pass a
-// *Proof explicitly as Options.Proof. For an UNSAT verdict the step
-// sequence is a refutation witness checkable by VerifyUnsat — the
+// in derivation order, installed by passing a *Proof as Options.Proof.
+// For an assumption-free UNSAT verdict the step sequence is a
+// refutation witness checkable by VerifyUnsat — the
 // independently "extensively validated SAT algorithms" story the paper
 // §5 cites as the main advantage of CNF-based flows.
 type Proof struct {
@@ -65,11 +64,6 @@ func (p *Proof) NumLemmas() int {
 
 // NumDeletions counts the deletion steps.
 func (p *Proof) NumDeletions() int { return len(p.Steps) - p.NumLemmas() }
-
-// Proof returns the in-memory proof logged during solving (nil unless
-// Options.LogProof was set without an external Options.Proof sink). The
-// log is a refutation witness only for an assumption-free Unsat answer.
-func (s *Solver) Proof() *Proof { return s.proofLog }
 
 // proofDelete streams a deletion line for a clause leaving the learnt
 // database. Must run while the arena words are still readable —

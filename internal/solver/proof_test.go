@@ -25,16 +25,18 @@ func TestProofVerifiesOnUnsatFamilies(t *testing.T) {
 	}
 	for name, f := range workloads {
 		for cfg, opt := range map[string]Options{
-			"default": {LogProof: true},
-			"chrono":  {LogProof: true, Chronological: true},
-			"restart": {LogProof: true, Restart: RestartFixed, RestartBase: 5},
-			"reduce":  {LogProof: true, MaxLearnts: 5},
+			"default": {},
+			"chrono":  {Chronological: true},
+			"restart": {Restart: RestartFixed, RestartBase: 5},
+			"reduce":  {MaxLearnts: 5},
 		} {
+			p := &Proof{}
+			opt.Proof = p
 			s := FromFormula(f, opt)
 			if s.Solve() != Unsat {
 				t.Fatalf("%s/%s: expected UNSAT", name, cfg)
 			}
-			if err := VerifyUnsat(f, s.Proof()); err != nil {
+			if err := VerifyUnsat(f, p); err != nil {
 				t.Fatalf("%s/%s: proof check failed: %v", name, cfg, err)
 			}
 		}
@@ -43,11 +45,11 @@ func TestProofVerifiesOnUnsatFamilies(t *testing.T) {
 
 func TestProofRejectsBogusLemma(t *testing.T) {
 	f := gen.Pigeonhole(3)
-	s := FromFormula(f, Options{LogProof: true})
+	p := &Proof{}
+	s := FromFormula(f, Options{Proof: p})
 	if s.Solve() != Unsat {
 		t.Fatal("expected UNSAT")
 	}
-	p := s.Proof()
 	if p.NumLemmas() == 0 {
 		t.Fatal("no lemmas logged")
 	}
@@ -66,11 +68,11 @@ func TestProofRejectsBogusLemma(t *testing.T) {
 // checker's database).
 func TestProofRecordsDeletions(t *testing.T) {
 	f := gen.Pigeonhole(5)
-	s := FromFormula(f, Options{LogProof: true, MaxLearnts: 5})
+	p := &Proof{}
+	s := FromFormula(f, Options{Proof: p, MaxLearnts: 5})
 	if s.Solve() != Unsat {
 		t.Fatal("expected UNSAT")
 	}
-	p := s.Proof()
 	if p.NumDeletions() == 0 {
 		t.Fatalf("no deletion steps recorded (Stats.Deleted=%d)", s.Stats.Deleted)
 	}
@@ -102,10 +104,6 @@ func TestDRATRoundTrip(t *testing.T) {
 	}
 	if err := VerifyDRAT(f, strings.NewReader(text)); err != nil {
 		t.Fatalf("DRAT stream failed verification: %v", err)
-	}
-	// The external sink must win over LogProof: no in-memory log.
-	if s.Proof() != nil {
-		t.Fatal("Proof() must be nil with an external sink")
 	}
 	// Truncation: dropping the tail must leave the database short of a
 	// conflict (the final steps derive it).
@@ -173,11 +171,11 @@ func TestCheckerIncremental(t *testing.T) {
 func BenchmarkProofVerify(b *testing.B) {
 	for _, n := range []int{4, 5, 6} {
 		f := gen.Pigeonhole(n)
-		s := FromFormula(f, Options{LogProof: true})
+		p := &Proof{}
+		s := FromFormula(f, Options{Proof: p})
 		if s.Solve() != Unsat {
 			b.Fatal("expected UNSAT")
 		}
-		p := s.Proof()
 		b.Run(fmt.Sprintf("php%d_steps%d/incremental", n, len(p.Steps)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := VerifyUnsat(f, p); err != nil {
@@ -305,8 +303,8 @@ func TestProofNilWithoutLogging(t *testing.T) {
 	f := gen.Pigeonhole(3)
 	s := FromFormula(f, Options{})
 	s.Solve()
-	if s.Proof() != nil {
-		t.Fatal("proof should be nil without LogProof")
+	if s.proof != nil {
+		t.Fatal("no proof sink without Options.Proof")
 	}
 	if err := VerifyUnsat(f, nil); err == nil {
 		t.Fatal("nil proof must not verify")

@@ -41,11 +41,12 @@ func TestQuickProofsAlwaysVerify(t *testing.T) {
 	f := func(seed int64) bool {
 		nv := 5 + int(uint64(seed)%5)
 		formula := gen.RandomKSAT(nv, nv*6, 3, seed) // overconstrained
-		s := FromFormula(formula, Options{LogProof: true})
+		p := &Proof{}
+		s := FromFormula(formula, Options{Proof: p})
 		if s.Solve() != Unsat {
 			return true // satisfiable instances vacuously pass
 		}
-		return VerifyUnsat(formula, s.Proof()) == nil
+		return VerifyUnsat(formula, p) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

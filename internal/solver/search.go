@@ -117,8 +117,8 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 // retired variable is parked at. On top of a copy of it go the live
 // assignments (the trail above level 0) and the eliminated variables
 // (reconstructed from the removed clauses, newest elimination first).
-// Under a theory nothing is ever retired and a model may be partial, so
-// there the base's filler is Undef.
+// Under a theory the filler is Undef: nothing is ever retired there, and
+// what an early stop left unassigned is the partial model's X.
 func (s *Solver) captureModel() {
 	filler := cnf.False
 	if s.theory != nil {
@@ -253,10 +253,16 @@ func (s *Solver) search(maxConfl int64) Status {
 
 		// No conflict. A structural theory may declare success with a
 		// partial assignment (§5: empty justification frontier replaces
-		// "all clauses satisfied" as the satisfiability test).
-		if s.theory != nil && s.decisionLevel() >= len(s.assumptions) && s.theory.Done() {
-			s.partial = true
-			return Sat
+		// "all clauses satisfied" as the satisfiability test). It is
+		// handed the trail entries it has not seen first; nothing below
+		// changes the trail before its Suggest.
+		if s.theory != nil {
+			s.theory.Assign(s.trail[s.theorySynced:])
+			s.theorySynced = len(s.trail)
+			if s.decisionLevel() >= len(s.assumptions) && s.theory.Done() {
+				s.partial = true
+				return Sat
+			}
 		}
 		if s.budgetExhausted() {
 			return Unknown

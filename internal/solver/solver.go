@@ -25,12 +25,14 @@ type watcher struct {
 // Theory is the hook through which a structural layer (the circuit-SAT
 // layer of paper §5) observes the search. Value consistency remains the
 // SAT engine's job; the theory maintains justification state and may
-// terminate the search early or suggest decisions (backtracing).
+// terminate the search early or suggest decisions (backtracing). It sees
+// the trail, not each assignment: literals assigned and erased between
+// two Done/Suggest rounds never reach it.
 type Theory interface {
-	// OnAssign is invoked after the literal l becomes true on the trail.
-	OnAssign(l cnf.Lit)
-	// OnUnassign is invoked when the assignment to l is erased.
-	OnUnassign(l cnf.Lit)
+	// Assign hands over the trail entries appended since the last call.
+	Assign(lits []cnf.Lit)
+	// Unassign takes back a suffix of what Assign handed; undo it newest first.
+	Unassign(lits []cnf.Lit)
 	// Done reports whether the current (possibly partial) assignment
 	// already establishes satisfiability for the theory's purposes
 	// (e.g. an empty justification frontier).
@@ -92,10 +94,11 @@ type Solver struct {
 
 	stop atomic.Bool // asynchronous interrupt request (Interrupt)
 
-	ok      bool // false once the clause set is trivially unsat
-	theory  Theory
-	partial bool           // last model is partial (theory early stop)
-	model   cnf.Assignment // satisfying assignment copied at Sat time; empty = none
+	ok           bool // false once the clause set is trivially unsat
+	theory       Theory
+	theorySynced int            // trail prefix handed to the theory; 0 without one
+	partial      bool           // last model is partial (theory early stop)
+	model        cnf.Assignment // satisfying assignment copied at Sat time; empty = none
 
 	// What captureModel starts every model from: the values of the
 	// level-0 trail prefix trail[:modelFixed], a filler elsewhere.
@@ -117,8 +120,7 @@ type Solver struct {
 
 	warmDone bool // Options.WarmStart has been applied (first Solve)
 
-	proof    ProofWriter // streaming DRAT sink (Options.Proof / LogProof)
-	proofLog *Proof      // in-memory log behind s.Proof() (Options.LogProof)
+	proof ProofWriter // DRAT sink (Options.Proof)
 
 	// prog mirrors the scheduling-relevant subset of Stats in atomics so
 	// Snapshot can sample a RUNNING search from another goroutine (the
@@ -150,14 +152,9 @@ func New(n int, opts Options) *Solver {
 		varInc: 1.0,
 		claInc: 1.0,
 		ok:     true,
+		proof:  opts.Proof,
 	}
 	s.order = newVarHeap(&s.activity)
-	if s.opts.Proof != nil {
-		s.proof = s.opts.Proof
-	} else if s.opts.LogProof {
-		s.proofLog = &Proof{}
-		s.proof = s.proofLog
-	}
 	s.growTo(n)
 	return s
 }
@@ -245,9 +242,12 @@ func (s *Solver) random() *rand.Rand {
 	return s.rng
 }
 
-// SetTheory installs a structural theory layer. It must be installed
-// before the first Solve call and before any assignments exist.
-func (s *Solver) SetTheory(t Theory) { s.theory = t }
+// SetTheory installs a structural theory layer (nil detaches it). Its
+// first hand-over is the whole trail, level-0 facts included.
+func (s *Solver) SetTheory(t Theory) {
+	s.theory = t
+	s.theorySynced = 0
+}
 
 // Okay reports whether the clause database is still possibly satisfiable
 // (false after a top-level contradiction was added).
@@ -456,9 +456,6 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from CRef) {
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	if s.theory != nil {
-		s.theory.OnAssign(l)
-	}
 }
 
 // propagate is the Deduce() function of Figure 2: it performs Boolean
@@ -573,6 +570,10 @@ func (s *Solver) cancelUntil(lvl int) {
 		return
 	}
 	bound := s.trailLim[lvl]
+	if bound < s.theorySynced { // the theory gets back what it was handed
+		s.theory.Unassign(s.trail[bound:s.theorySynced])
+		s.theorySynced = bound
+	}
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.Var()
@@ -592,9 +593,6 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.vals[l.Not()] = cnf.Undef
 		s.reason[v] = CRefUndef
 		s.order.push(v)
-		if s.theory != nil {
-			s.theory.OnUnassign(l)
-		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -382,27 +383,46 @@ func TestModelCompleteWithoutTheory(t *testing.T) {
 }
 
 // stubTheory stops the search as soon as `stopAfter` variables are
-// assigned, and suggests a fixed literal first.
+// assigned, and suggests the first unassigned literal of `suggest`; its
+// interruptAt-th suggestion (counting from 1) also interrupts the
+// search. It keeps what it was handed as a stack (seen) and fails the
+// test when a hand-back is not that stack's top.
 type stubTheory struct {
-	s         *Solver
-	assigned  int
-	stopAfter int
-	suggest   cnf.Lit
-	events    []string
+	t           *testing.T
+	s           *Solver
+	seen        []cnf.Lit
+	ever        map[cnf.Lit]bool
+	stopAfter   int
+	suggest     []cnf.Lit
+	suggested   int
+	interruptAt int
 }
 
-func (st *stubTheory) OnAssign(l cnf.Lit) {
-	st.assigned++
-	st.events = append(st.events, "+"+l.String())
+func (st *stubTheory) Assign(lits []cnf.Lit) {
+	if st.ever == nil {
+		st.ever = map[cnf.Lit]bool{}
+	}
+	for _, l := range lits {
+		st.ever[l] = true
+	}
+	st.seen = append(st.seen, lits...)
 }
-func (st *stubTheory) OnUnassign(l cnf.Lit) {
-	st.assigned--
-	st.events = append(st.events, "-"+l.String())
+func (st *stubTheory) Unassign(lits []cnf.Lit) {
+	top := st.seen[len(st.seen)-len(lits):]
+	if !slices.Equal(top, lits) {
+		st.t.Fatalf("handed back %v, top of what was handed is %v", lits, top)
+	}
+	st.seen = st.seen[:len(st.seen)-len(lits)]
 }
-func (st *stubTheory) Done() bool { return st.assigned >= st.stopAfter }
+func (st *stubTheory) Done() bool { return len(st.seen) >= st.stopAfter }
 func (st *stubTheory) Suggest() cnf.Lit {
-	if st.s.LitValue(st.suggest) == cnf.Undef {
-		return st.suggest
+	for _, l := range st.suggest {
+		if st.s.LitValue(l) == cnf.Undef {
+			if st.suggested++; st.suggested == st.interruptAt {
+				st.s.Interrupt()
+			}
+			return l
+		}
 	}
 	return cnf.LitUndef
 }
@@ -415,7 +435,7 @@ func TestTheoryEarlyStopAndSuggest(t *testing.T) {
 	f.AddDIMACS(3, 4)
 	f.AddDIMACS(5, 6)
 	s := FromFormula(f, Options{})
-	th := &stubTheory{s: s, stopAfter: 2, suggest: cnf.PosLit(5)}
+	th := &stubTheory{t: t, s: s, stopAfter: 2, suggest: []cnf.Lit{cnf.PosLit(5)}}
 	s.SetTheory(th)
 	if s.Solve() != Sat {
 		t.Fatal("expected SAT")
@@ -430,23 +450,74 @@ func TestTheoryEarlyStopAndSuggest(t *testing.T) {
 	if m.Value(5) != cnf.True {
 		t.Fatal("suggested literal should have been decided first")
 	}
-	if len(th.events) == 0 {
-		t.Fatal("theory saw no events")
+	if len(th.ever) == 0 {
+		t.Fatal("theory was handed nothing")
 	}
 }
 
 func TestTheoryUnassignCallbacks(t *testing.T) {
-	// Force conflicts so OnUnassign fires; the counter must return to the
-	// trail size (callbacks balanced).
+	// Force conflicts so the theory gets suffixes back; what it holds
+	// must be exactly the synced trail prefix (hand-overs balanced).
 	f := gen.Pigeonhole(4)
 	s := FromFormula(f, Options{})
-	th := &stubTheory{s: s, stopAfter: 1 << 30}
+	th := &stubTheory{t: t, s: s, stopAfter: 1 << 30}
 	s.SetTheory(th)
 	s.Solve()
-	// Level-0 facts stay on the trail after Solve; everything else must
-	// have produced a balancing OnUnassign.
-	if th.assigned != len(s.trail) {
-		t.Fatalf("unbalanced callbacks: theory sees %d, trail has %d", th.assigned, len(s.trail))
+	if !slices.Equal(th.seen, s.trail[:s.theorySynced]) {
+		t.Fatalf("unbalanced hand-overs: theory holds %v, synced trail prefix is %v", th.seen, s.trail[:s.theorySynced])
+	}
+}
+
+func TestTheoryNeverSeesUnsyncedLiterals(t *testing.T) {
+	// Decision 5 is synced before the next suggestion; decision 3 is
+	// made and the search stops (Interrupt) before the next sync, so 3
+	// sits on the trail above level 0 unseen. AddClause erases both: the
+	// theory gets 5 back and never hears of 3.
+	f := cnf.New(6)
+	f.AddDIMACS(1, 2)
+	f.AddDIMACS(3, 4)
+	f.AddDIMACS(5, 6)
+	s := FromFormula(f, Options{})
+	th := &stubTheory{t: t, s: s, stopAfter: 1 << 30,
+		suggest: []cnf.Lit{cnf.PosLit(5), cnf.PosLit(3)}, interruptAt: 2}
+	s.SetTheory(th)
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("interrupted Solve = %v, want Unknown", st)
+	}
+	if !slices.Equal(s.trail, []cnf.Lit{cnf.PosLit(5), cnf.PosLit(3)}) || s.theorySynced != 1 {
+		t.Fatalf("want trail [5 3] with 5 synced, got %v with %d synced", s.trail, s.theorySynced)
+	}
+	s.AddClause(cnf.NewClause(1, 3))
+	if !th.ever[cnf.PosLit(5)] || th.ever[cnf.PosLit(3)] {
+		t.Fatalf("theory was handed %v: want 5, never 3", th.ever)
+	}
+	if !slices.Equal(th.seen, s.trail[:s.theorySynced]) {
+		t.Fatalf("theory holds %v, synced trail prefix is %v", th.seen, s.trail[:s.theorySynced])
+	}
+}
+
+func TestCheckpointWithTheory(t *testing.T) {
+	// A theory is not part of the image: the fork has none, and one
+	// installed on it is first handed the whole level-0 trail.
+	f := gen.Pigeonhole(4)
+	f.AddDIMACS(1)
+	s := FromFormula(f, Options{})
+	s.SetTheory(&stubTheory{t: t, s: s, stopAfter: 1 << 30})
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ck.Restore()
+	if r.theory != nil {
+		t.Fatal("a restored solver must start without a theory")
+	}
+	th := &stubTheory{t: t, s: r, stopAfter: 1 << 30}
+	r.SetTheory(th)
+	if r.Solve() != Unsat {
+		t.Fatal("PHP(4) must be UNSAT")
+	}
+	if len(th.seen) == 0 || !slices.Equal(th.seen, r.trail[:r.theorySynced]) {
+		t.Fatalf("theory holds %v, synced trail prefix is %v", th.seen, r.trail[:r.theorySynced])
 	}
 }
 

@@ -36,8 +36,8 @@ import (
 //
 // The first Solve on a solver never sweeps, so a one-shot solve runs
 // exactly the search it ran without this file. The sweep is skipped
-// where inprocessing is structurally gated as well (a theory observing
-// assignments, NoLearning's temp clauses).
+// where inprocessing is structurally gated as well (a theory, which sees
+// only the trail; NoLearning's temp clauses).
 //
 // Cost: one pass over the live clauses plus one over the dropped ones —
 // never over every variable allocated. The trigger (additions reach a
@@ -90,6 +90,8 @@ func (s *Solver) maybeSweep() {
 		sw.live = len(s.clauses) + s.db.learntCount()
 		return
 	}
+	// Not under a theory: a retired variable is parked off the trail, so
+	// the theory would never see its value.
 	if s.opts.NoLearning || s.theory != nil {
 		return
 	}

@@ -26,6 +26,7 @@ type guardedRun struct {
 }
 
 func newGuardedRun(t *testing.T, nVars int, opts Options) *guardedRun {
+	opts, _ = withFreshProof(opts)
 	return &guardedRun{t: t, nVars: nVars, s: New(nVars, opts)}
 }
 
@@ -137,7 +138,7 @@ var sweepConfigs = []Options{
 	{Decide: DecideDLIS},
 	{RandomFreq: 0.5, Seed: 9, Chronological: true},
 	{Inprocess: true, InprocessVarElim: true, InprocessEvery: 1, Restart: RestartFixed, RestartBase: 2},
-	{LogProof: true},
+	{Proof: logProof},
 }
 
 // TestSweepDifferential: random guarded add/solve/retire rounds with
@@ -388,7 +389,8 @@ func TestSweepCheckpoint(t *testing.T) {
 func TestSweepProof(t *testing.T) {
 	f := gen.Pigeonhole(5)
 	full := f.Clone()
-	s := New(f.NumVars(), Options{LogProof: true})
+	p := &Proof{}
+	s := New(f.NumVars(), Options{Proof: p})
 	// Satisfiable guarded prefix rounds first: they leave satisfied
 	// clauses (original and learnt) behind for the sweep.
 	for r := 0; r < 6; r++ {
@@ -413,10 +415,10 @@ func TestSweepProof(t *testing.T) {
 	if s.Stats.Sweeps == 0 || s.Stats.SweptClauses == 0 {
 		t.Fatalf("no sweep under proof logging: %+v", s.Stats)
 	}
-	if s.Proof().NumDeletions() < int(s.Stats.SweptClauses) {
-		t.Fatalf("%d clauses swept, only %d deletion lines", s.Stats.SweptClauses, s.Proof().NumDeletions())
+	if p.NumDeletions() < int(s.Stats.SweptClauses) {
+		t.Fatalf("%d clauses swept, only %d deletion lines", s.Stats.SweptClauses, p.NumDeletions())
 	}
-	if err := VerifyUnsat(full, s.Proof()); err != nil {
+	if err := VerifyUnsat(full, p); err != nil {
 		t.Fatalf("proof with sweep deletions rejected: %v", err)
 	}
 }

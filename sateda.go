@@ -96,7 +96,8 @@ type (
 	// SolverProgress is a race-free snapshot of a running search
 	// (Solver.Snapshot), the probe adaptive scheduling samples.
 	SolverProgress = solver.Progress
-	// Theory is the structural-layer hook of §5.
+	// Theory is the structural layer of §5 as the solver sees it: it is
+	// handed the trail right before each Done and Suggest call.
 	Theory = solver.Theory
 )
 

@@ -27,7 +27,7 @@ func TestSoakSolverConfigs(t *testing.T) {
 		"relevance":  {Deletion: solver.DeleteByRelevance, RelevanceBound: 2, MaxLearnts: 10},
 		"restarts":   {Restart: solver.RestartLuby, RestartBase: 4, RandomFreq: 0.2, Seed: 5},
 		"dlis":       {Decide: solver.DecideDLIS},
-		"proof":      {LogProof: true},
+		"proof":      {Proof: &solver.Proof{}}, // each run logs into a fresh one
 		"tiny-db":    {MaxLearnts: 1},
 		"nominimize": {NoMinimize: true},
 		// Inprocessing at every restart boundary, so rounds fire even on
@@ -50,6 +50,11 @@ func TestSoakSolverConfigs(t *testing.T) {
 		f := gen.RandomKSAT(18, 76, 3, seed) // near threshold, mixed phase
 		ref := dpll.Solve(f, dpll.Options{})
 		for name, opt := range configs {
+			var proof *solver.Proof
+			if opt.Proof != nil {
+				proof = &solver.Proof{}
+				opt.Proof = proof
+			}
 			s := solver.FromFormula(f, opt)
 			st := s.Solve()
 			if (st == solver.Sat) != ref.Sat {
@@ -59,8 +64,8 @@ func TestSoakSolverConfigs(t *testing.T) {
 				if err := solver.VerifyModel(f, s.Model()); err != nil {
 					t.Fatalf("seed %d config %s: %v", seed, name, err)
 				}
-			} else if opt.LogProof {
-				if err := solver.VerifyUnsat(f, s.Proof()); err != nil {
+			} else if proof != nil {
+				if err := solver.VerifyUnsat(f, proof); err != nil {
 					t.Fatalf("seed %d config %s: proof rejected: %v", seed, name, err)
 				}
 			}
@@ -169,7 +174,8 @@ func TestSoakPipelineOnStructured(t *testing.T) {
 	}
 	workloads = append(workloads, wl{gen.Queens(8), true, "queens"})
 	for _, w := range workloads {
-		s := solver.FromFormula(w.f, solver.Options{LogProof: true})
+		proof := &solver.Proof{}
+		s := solver.FromFormula(w.f, solver.Options{Proof: proof})
 		st := s.Solve()
 		if (st == solver.Sat) != w.sat {
 			t.Fatalf("%s: got %v want sat=%v", w.name, st, w.sat)
@@ -179,7 +185,7 @@ func TestSoakPipelineOnStructured(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if err := solver.VerifyUnsat(w.f, s.Proof()); err != nil {
+			if err := solver.VerifyUnsat(w.f, proof); err != nil {
 				t.Fatalf("%s: %v", w.name, err)
 			}
 		}
