@@ -6,7 +6,10 @@
 // assumption queries against resident solve sessions (the same engine
 // satserved exposes over HTTP), with identical verdicts. -session deals
 // the list across one session per CPU (GOMAXPROCS), at least 64 faults
-// each, queried in parallel; the report prints the shard count. The
+// each, queried in parallel; the report prints the shard count. Faults
+// are dealt by site, whole sites at a time, so each session encodes a
+// site's faulty cone once and answers each of its faults under two
+// activation literals, one for the cone and one for the fault. The
 // structural layer needs the one-shot engine, so -session -structural
 // is refused.
 package main

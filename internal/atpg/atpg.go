@@ -150,28 +150,36 @@ type faultSlot struct {
 	// queried: the engine was asked (one SAT call), as opposed to a
 	// cancelled or simulation-dropped fault.
 	queried bool
-	// drops lists the later faults of the same shard that this fault's
-	// pattern detected by simulation, in list order.
+	// drops lists the later faults of the same deal that this fault's
+	// pattern detected by simulation, in deal order.
 	drops []int
 }
 
-// runFaults is the fault driver shared by every engine. The list is
-// dealt across the k engines round-robin: engine j decides faults j,
-// j+k, j+2k, … in list order on its own goroutine, and with
-// opts.FaultSim drops faults only within its own shard, with its own
-// rng (shard j seeded opts.Seed+j). The per-fault outcomes are then
-// aggregated in list order — counts, stats, tests, then the optional
-// compaction — so one engine reproduces the sequential loop exactly and
-// any fixed k is deterministic. opts.MaxConflicts must already be
+// runFaults is the fault driver shared by every engine. Engine j
+// decides the faults deals[j] lists, in that order, on its own
+// goroutine; with no deals given, the single engine walks the whole
+// list in order. With opts.FaultSim an engine drops only the faults
+// that come later in its own deal, with its own rng (engine j seeded
+// opts.Seed+j). The per-fault outcomes are then aggregated in list
+// order — counts, stats, tests, then the optional compaction — so one
+// engine over the whole list reproduces the sequential loop exactly and
+// any fixed deal is deterministic. opts.MaxConflicts must already be
 // resolved by the caller.
-func runFaults[E faultEngine](ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, engs []E) *Report {
+func runFaults[E faultEngine](ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, engs []E, deals ...[]int) *Report {
+	if deals == nil {
+		whole := make([]int, len(faults))
+		for i := range whole {
+			whole[i] = i
+		}
+		deals = [][]int{whole}
+	}
 	slots := make([]faultSlot, len(faults))
 	var wg sync.WaitGroup
 	for j, eng := range engs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runShard(ctx, c, faults, opts, eng, j, len(engs), slots)
+			runShard(ctx, c, faults, opts, eng, deals[j], rand.New(rand.NewSource(opts.Seed+int64(j))), slots)
 		}()
 	}
 	wg.Wait()
@@ -215,11 +223,10 @@ func runFaults[E faultEngine](ctx context.Context, c *circuit.Circuit, faults []
 	return rep
 }
 
-// runShard decides faults first, first+k, … with eng, writing only
-// their slots.
-func runShard(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, eng faultEngine, first, k int, slots []faultSlot) {
-	rng := rand.New(rand.NewSource(opts.Seed + int64(first)))
-	for i := first; i < len(faults); i += k {
+// runShard decides the faults deal lists with eng, in deal order,
+// writing only their slots.
+func runShard(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Options, eng faultEngine, deal []int, rng *rand.Rand, slots []faultSlot) {
+	for at, i := range deal {
 		sl := &slots[i]
 		if sl.res.BySim {
 			continue
@@ -232,16 +239,16 @@ func runShard(ctx context.Context, c *circuit.Circuit, faults []Fault, opts Opti
 		}
 		sl.res, sl.queried = eng.testFault(ctx, faults[i]), true
 		if opts.FaultSim && sl.res.Status == Detected {
-			sl.drops = dropWithPattern(c, sl.res.Pattern, faults, slots, i+k, k, rng)
+			sl.drops = dropWithPattern(c, sl.res.Pattern, faults, slots, deal[at+1:], rng)
 		}
 	}
 }
 
 // dropWithPattern completes the pattern (X bits randomized across 64
-// lanes) and fault-simulates the shard's remaining faults (from, from+k,
-// …), marking each detection in its slot. It returns the dropped
-// indices in list order.
-func dropWithPattern(c *circuit.Circuit, pat []cnf.LBool, faults []Fault, slots []faultSlot, from, k int, rng *rand.Rand) []int {
+// lanes) and fault-simulates the faults rest lists that are still
+// pending, marking each detection in its slot. It returns the dropped
+// indices in the order rest lists them.
+func dropWithPattern(c *circuit.Circuit, pat []cnf.LBool, faults []Fault, slots []faultSlot, rest []int, rng *rand.Rand) []int {
 	words := make([]uint64, len(pat))
 	for i, v := range pat {
 		switch v {
@@ -254,7 +261,7 @@ func dropWithPattern(c *circuit.Circuit, pat []cnf.LBool, faults []Fault, slots 
 		}
 	}
 	var drops []int
-	for j := from; j < len(faults); j += k {
+	for _, j := range rest {
 		if slots[j].res.BySim {
 			continue
 		}

@@ -11,7 +11,10 @@
 // mode of §5 producing partially-specified patterns, and the
 // iterative/incremental mode of §6 ([Kim et al.]) running the fault list
 // as activation-literal queries against resident solve sessions
-// (GenerateTestsSession).
+// (GenerateTestsSession). The session mode deals the list across its
+// sessions by fault site: each session ships a site's faulty cone once,
+// guarded by one activation literal, and answers each of the site's
+// faults with a small head guarded by a second.
 package atpg
 
 import (

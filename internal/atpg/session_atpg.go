@@ -15,11 +15,16 @@ import (
 // sessionATPG is the incremental fault loop (§6: "in many applications
 // SAT solvers tend to be used iteratively and/or incrementally" [Kim et
 // al.]) running against a resident solve session: the good circuit's
-// CNF lives in the session, each fault ships its guarded cone clauses
-// as the query's Add set and solves under the activation assumption.
-// Learned clauses over the good circuit survive between faults. The
-// previous fault's retirement unit ¬a_{i-1} is folded into the next
-// query's Add set, so the whole loop is one query per fault.
+// CNF lives in the session, and every fault is one query under two
+// activation literals. The faulty cone above a fault site is shipped
+// once, guarded by ¬actSite, with the site's faulty value F left free;
+// each fault then ships only its head, guarded by ¬actFault, which ties
+// F to the stuck value and adds the activation condition. The query
+// assumes [actSite, actFault]. The next query's Add set leads with the
+// retirement unit ¬actFault (and ¬actSite when the site changes), so
+// exactly one head defines F at a time and the whole loop stays one
+// query per fault. Learned clauses over the good circuit and the live
+// cone survive between faults.
 type sessionATPG struct {
 	c     *circuit.Circuit
 	enc   *circuit.Encoding
@@ -27,15 +32,10 @@ type sessionATPG struct {
 	m     *session.Manager
 	ss    *session.Session
 	opts  Options
-	// numVars tracks the session solver's variable space. Every cone
-	// query allocates fresh variables above it and mentions all of them,
-	// so the resident solver's growth stays in lockstep.
-	numVars int
-	// retire is the ¬act unit of the previous fault, empty before the
-	// first. It leads the next query's Add set, which add holds; Submit
-	// copies both, so the engine reuses them from fault to fault.
-	retire cnf.Clause
-	add    []cnf.Clause
+	// site is the cone the session holds live (site.act == 0: none), and
+	// head the activation variable of the last head shipped (0: none).
+	site siteCone
+	head cnf.Var
 }
 
 // newSessionATPG opens a session on m holding enc, c's good-circuit
@@ -45,7 +45,9 @@ func newSessionATPG(m *session.Manager, c *circuit.Circuit, enc *circuit.Encodin
 	if err != nil {
 		return nil, fmt.Errorf("atpg: open session: %w", err)
 	}
-	return &sessionATPG{c: c, enc: enc, cones: newConeEncoder(c, enc), m: m, ss: ss, opts: opts, numVars: enc.F.NumVars()}, nil
+	cones := newConeEncoder(c, enc)
+	cones.vars.EnsureVars(enc.F.NumVars())
+	return &sessionATPG{c: c, enc: enc, cones: cones, m: m, ss: ss, opts: opts}, nil
 }
 
 // Close evicts the engine's session from its manager.
@@ -53,33 +55,40 @@ func (sa *sessionATPG) Close() { sa.m.Delete(sa.ss.ID) }
 
 func (sa *sessionATPG) testFault(ctx context.Context, flt Fault) FaultResult {
 	fr := FaultResult{Fault: flt}
-	q := sa.cones.build(flt, sa.numVars)
-	if q == nil {
-		fr.Status = Redundant
-		return fr
+	ce := sa.cones
+	ce.begin(ce.vars.NumVars())
+	if sa.head != 0 {
+		ce.retire(sa.head)
 	}
-	sa.add = sa.add[:0]
-	if len(sa.retire) > 0 {
-		sa.add = append(sa.add, sa.retire)
+	site := sa.site
+	if site.act == 0 || site.node != flt.Node {
+		if site.act != 0 {
+			ce.retire(site.act)
+		}
+		var ok bool
+		if site, ok = ce.buildSite(flt.Node); !ok {
+			fr.Status = Redundant // no output observes the site: nothing is shipped
+			return fr
+		}
 	}
-	sa.add = append(sa.add, q.clauses...)
+	sa.site, sa.head = site, ce.buildHead(flt, site.f)
 	req := session.Request{
-		Assume:       []cnf.Lit{cnf.PosLit(q.act)},
-		Add:          sa.add,
+		Assume:       []cnf.Lit{cnf.PosLit(site.act), cnf.PosLit(sa.head)},
+		Add:          ce.add, // Submit copies it, so the encoder reuses its buffers
 		MaxConflicts: sa.opts.MaxConflicts,
 	}
 	query, err := sa.ss.Submit(ctx, req)
-	if err != nil {
+	var res session.Result
+	if err == nil {
+		res, err = query.Wait(ctx)
+	}
+	if err != nil || res.Cancelled {
+		// The Add set may or may not have reached the solver: build the
+		// next fault's cone afresh, above every variable shipped here.
+		sa.site, sa.head = siteCone{}, 0
 		fr.Status = Aborted
 		return fr
 	}
-	res, err := query.Wait(ctx)
-	if err != nil {
-		fr.Status = Aborted
-		return fr
-	}
-	sa.numVars = q.numVars
-	sa.retire = append(sa.retire[:0], cnf.NegLit(q.act))
 	switch res.Status {
 	case solver.Sat:
 		fr.Status = Detected
@@ -133,9 +142,9 @@ func GenerateTestsSessionFor(ctx context.Context, m *session.Manager, c *circuit
 }
 
 // generateTestsSessionShards deals the fault list across k fresh
-// sessions on m. Every query goes through m, so m's Gate meters all of
-// them. Each session is evicted on every path out: success, cancel, or
-// an Open failing partway through.
+// sessions on m, whole sites at a time (dealBySite). Every query goes
+// through m, so m's Gate meters all of them. Each session is evicted on
+// every path out: success, cancel, or an Open failing partway through.
 func generateTestsSessionShards(ctx context.Context, m *session.Manager, c *circuit.Circuit, faults []Fault, opts Options, k int) (*Report, error) {
 	if opts.MaxConflicts == 0 {
 		opts.MaxConflicts = defaultMaxConflicts
@@ -154,39 +163,65 @@ func generateTestsSessionShards(ctx context.Context, m *session.Manager, c *circ
 		}
 		shards = append(shards, sa)
 	}
-	return runFaults(ctx, c, faults, opts, shards), nil
+	return runFaults(ctx, c, faults, opts, shards, dealBySite(faults, k)...), nil
 }
 
-// coneQuery is one fault's incremental SAT query: the faulty cone
-// re-encoded over fresh variables, every clause guarded by the negated
-// activation literal, plus the XOR objective over affected outputs.
-type coneQuery struct {
-	// act is the activation variable: solve under PosLit(act), retire
-	// the cone afterwards with the top-level unit ¬act.
+// dealBySite deals the fault list's sites round-robin across k engines
+// in order of first appearance: engine j gets the faults of sites j,
+// j+k, …, each site's faults back to back in list order, so an engine
+// ships each of its cones once.
+func dealBySite(faults []Fault, k int) [][]int {
+	ordinal := make(map[circuit.NodeID]int) // site → rank of first appearance
+	var sites [][]int
+	for i, f := range faults {
+		s, ok := ordinal[f.Node]
+		if !ok {
+			s = len(sites)
+			ordinal[f.Node] = s
+			sites = append(sites, nil)
+		}
+		sites[s] = append(sites[s], i)
+	}
+	deals := make([][]int, k)
+	for s, idx := range sites {
+		deals[s%k] = append(deals[s%k], idx...)
+	}
+	return deals
+}
+
+// siteCone is a fault site's faulty cone as shipped to a session.
+type siteCone struct {
+	node circuit.NodeID
+	// act guards the cone: every clause carries ¬act.
 	act cnf.Var
-	// clauses carry the guard ¬act already appended. They alias the
-	// encoder's buffers and are valid until its next build.
-	clauses []cnf.Clause
-	// numVars is the variable space after this query: the next build
-	// allocates above it.
-	numVars int
+	// f is the site's faulty value. The cone reads it but leaves it
+	// free; a fault's head defines it.
+	f cnf.Var
 }
 
-// coneEncoder builds the cone queries of one circuit's fault list. The
-// per-fault working set — cone membership, the faulty copies' variables,
-// the gate clauses and their guarded form — lives in buffers indexed by
-// NodeID or reused flat, owned here and recycled from fault to fault.
+// coneEncoder builds the Add sets of one circuit's fault queries: a
+// site's faulty cone (buildSite) and a fault's head (buildHead), each
+// over fresh variables and guarded by its own activation literal. The
+// working set — cone membership, the faulty copies' variables, the gate
+// clauses and their guarded form — lives in buffers indexed by NodeID or
+// reused flat, owned here and recycled from query to query.
 type coneEncoder struct {
 	c   *circuit.Circuit
 	enc *circuit.Encoding
 
-	inCone  []bool           // by NodeID, valid from the fault site up
-	faulty  []cnf.Var        // by NodeID: the faulty copy's variable (cone nodes only)
-	ins     []cnf.Var        // one gate's fanin variables
-	scratch cnf.Formula      // the cone's unguarded clauses, as AppendGateCNF emits them
-	lits    []cnf.Lit        // every guarded clause, back to back
-	query   coneQuery        // the returned query (clauses slice reused)
-	outs    []circuit.NodeID // outputs inside the cone
+	inCone []bool           // by NodeID, valid from the site up
+	faulty []cnf.Var        // by NodeID: the faulty copy's variable (cone nodes only)
+	ins    []cnf.Var        // one gate's fanin variables
+	outs   []circuit.NodeID // outputs inside the cone
+	// vars is aligned with the target solver's variable space and
+	// allocates the fresh variables; its clauses are the unguarded
+	// clauses of the part being built, as AppendGateCNF emits them.
+	vars cnf.Formula
+	// add is the query's Add set so far, packed in lits: retirement
+	// units, then guarded parts. It aliases the encoder's buffers and
+	// is valid until the next begin.
+	lits []cnf.Lit
+	add  []cnf.Clause
 }
 
 func newConeEncoder(c *circuit.Circuit, enc *circuit.Encoding) *coneEncoder {
@@ -197,20 +232,37 @@ func newConeEncoder(c *circuit.Circuit, enc *circuit.Encoding) *coneEncoder {
 	}
 }
 
-// build encodes flt's faulty cone, allocating fresh variables starting
-// after numVars (the target solver's current variable count). It
-// returns nil when no output is reachable from the fault site — the
-// fault is trivially redundant and needs no SAT call.
-func (ce *coneEncoder) build(flt Fault, numVars int) *coneQuery {
+// begin starts a query over a target solver holding numVars variables:
+// fresh variables are allocated above it.
+func (ce *coneEncoder) begin(numVars int) {
+	ce.vars.Clauses = ce.vars.Clauses[:0]
+	ce.vars.EnsureVars(numVars) // variable counts only ever grow along a fault list
+	ce.lits, ce.add = ce.lits[:0], ce.add[:0]
+}
+
+// retire adds the unit ¬act, switching act's group off for good.
+func (ce *coneEncoder) retire(act cnf.Var) {
+	ce.lits = append(ce.lits, cnf.NegLit(act))
+	n := len(ce.lits)
+	ce.add = append(ce.add, ce.lits[n-1:n:n])
+}
+
+// buildSite encodes the faulty cone above site: the faulty copy of
+// every node in site's transitive fanout, reading the free variable f
+// for the site itself, and the XOR objective over the outputs the cone
+// reaches. It reports false, allocating nothing, when no output is
+// reachable from the site — its faults are trivially redundant and need
+// no SAT call.
+func (ce *coneEncoder) buildSite(site circuit.NodeID) (siteCone, bool) {
 	c, enc := ce.c, ce.enc
 	// Nodes are stored in topological order, so one forward pass from
-	// the fault site marks its transitive fanout.
-	site := int(flt.Node)
-	ce.inCone[site] = true
-	for id := site + 1; id < len(c.Nodes); id++ {
+	// the site marks its transitive fanout.
+	from := int(site)
+	ce.inCone[from] = true
+	for id := from + 1; id < len(c.Nodes); id++ {
 		in := false
 		for _, fn := range c.Nodes[id].Fanin {
-			if int(fn) >= site && ce.inCone[fn] {
+			if int(fn) >= from && ce.inCone[fn] {
 				in = true
 				break
 			}
@@ -219,81 +271,85 @@ func (ce *coneEncoder) build(flt Fault, numVars int) *coneQuery {
 	}
 	ce.outs = ce.outs[:0]
 	for _, o := range c.Outputs {
-		if int(o) >= site && ce.inCone[o] {
+		if int(o) >= from && ce.inCone[o] {
 			ce.outs = append(ce.outs, o)
 		}
 	}
 	if len(ce.outs) == 0 {
-		return nil
+		return siteCone{}, false
 	}
 
-	// Scratch formula aligned with the target solver's variable space:
-	// the session grows to the fresh variables allocated here when the
-	// guarded clauses, which mention every one of them, arrive.
-	scratch := &ce.scratch
-	scratch.Clauses = scratch.Clauses[:0]
-	scratch.EnsureVars(numVars) // variable counts only ever grow along a fault list
-	act := scratch.NewVar()
-
-	valueLit := func(v cnf.Var, val bool) cnf.Lit { return cnf.NewLit(v, !val) }
-
-	for id := site; id < len(c.Nodes); id++ {
+	sc := siteCone{node: site, act: ce.vars.NewVar(), f: ce.vars.NewVar()}
+	ce.faulty[from] = sc.f
+	for id := from + 1; id < len(c.Nodes); id++ {
 		if !ce.inCone[id] {
 			continue
 		}
 		n := &c.Nodes[id]
-		if id == site && flt.Pin < 0 {
-			v := scratch.NewVar()
-			ce.faulty[id] = v
-			scratch.Add(valueLit(v, flt.StuckAt))              // stem stuck value
-			scratch.Add(valueLit(enc.VarOf[id], !flt.StuckAt)) // activation: good site opposes
-			continue
-		}
-		var pinVar cnf.Var
-		if id == site && flt.Pin >= 0 {
-			pinVar = scratch.NewVar()
-			scratch.Add(valueLit(pinVar, flt.StuckAt))
-			w := n.Fanin[flt.Pin]
-			scratch.Add(valueLit(enc.VarOf[w], !flt.StuckAt)) // branch activation
-		}
 		ce.ins = ce.ins[:0]
-		for pin, fn := range n.Fanin {
-			switch {
-			case id == site && pin == flt.Pin:
-				ce.ins = append(ce.ins, pinVar)
-			case int(fn) >= site && ce.inCone[fn]:
+		for _, fn := range n.Fanin {
+			if int(fn) >= from && ce.inCone[fn] {
 				ce.ins = append(ce.ins, ce.faulty[fn])
-			default:
+			} else {
 				ce.ins = append(ce.ins, enc.VarOf[fn])
 			}
 		}
-		out := scratch.NewVar()
+		out := ce.vars.NewVar()
 		ce.faulty[id] = out
-		circuit.AppendGateCNF(scratch, n.Type, out, ce.ins)
+		circuit.AppendGateCNF(&ce.vars, n.Type, out, ce.ins)
 	}
-	objective := make(cnf.Clause, 0, len(ce.outs)+1)
+	objective := make(cnf.Clause, 0, len(ce.outs))
 	for _, o := range ce.outs {
-		d := scratch.NewVar()
+		d := ce.vars.NewVar()
 		ce.ins = append(ce.ins[:0], enc.VarOf[o], ce.faulty[o])
-		circuit.AppendGateCNF(scratch, circuit.Xor, d, ce.ins)
+		circuit.AppendGateCNF(&ce.vars, circuit.Xor, d, ce.ins)
 		objective = append(objective, cnf.PosLit(d))
 	}
-	scratch.AddClause(objective)
+	ce.vars.AddClause(objective)
+	ce.guard(sc.act)
+	return sc, true
+}
 
-	// Guard every clause with ¬act, packed into one literal buffer.
-	ce.lits = ce.lits[:0]
-	for _, cl := range scratch.Clauses {
+// buildHead encodes flt's own clauses over its site's faulty value f
+// and returns their activation variable. A stem fault s-a-v sets f = v
+// and activates with good(site) = ¬v; a branch fault on pin k sets a
+// fresh pin variable p = v, activates with good(fanin k) = ¬v, and
+// defines f by the site's gate with pin k reading p.
+func (ce *coneEncoder) buildHead(flt Fault, f cnf.Var) cnf.Var {
+	valueLit := func(v cnf.Var, val bool) cnf.Lit { return cnf.NewLit(v, !val) }
+	act := ce.vars.NewVar()
+	n := &ce.c.Nodes[flt.Node]
+	if flt.Pin < 0 {
+		ce.vars.Add(valueLit(f, flt.StuckAt))
+		ce.vars.Add(valueLit(ce.enc.VarOf[flt.Node], !flt.StuckAt))
+	} else {
+		p := ce.vars.NewVar()
+		ce.vars.Add(valueLit(p, flt.StuckAt))
+		ce.vars.Add(valueLit(ce.enc.VarOf[n.Fanin[flt.Pin]], !flt.StuckAt))
+		ce.ins = ce.ins[:0]
+		for pin, fn := range n.Fanin {
+			if pin == flt.Pin {
+				ce.ins = append(ce.ins, p)
+			} else {
+				ce.ins = append(ce.ins, ce.enc.VarOf[fn])
+			}
+		}
+		circuit.AppendGateCNF(&ce.vars, n.Type, f, ce.ins)
+	}
+	ce.guard(act)
+	return act
+}
+
+// guard moves the part's unguarded clauses into the Add set, each with
+// ¬act appended.
+func (ce *coneEncoder) guard(act cnf.Var) {
+	for _, cl := range ce.vars.Clauses {
+		at := len(ce.lits)
 		ce.lits = append(append(ce.lits, cl...), cnf.NegLit(act))
+		n := len(ce.lits)
+		ce.add = append(ce.add, ce.lits[at:n:n])
 	}
-	q := &ce.query
-	q.act, q.numVars, q.clauses = act, scratch.NumVars(), q.clauses[:0]
-	at := 0
-	for _, cl := range scratch.Clauses {
-		end := at + len(cl) + 1
-		q.clauses = append(q.clauses, ce.lits[at:end:end])
-		at = end
-	}
-	return q
+	ce.vars.Clauses = ce.vars.Clauses[:0]
 }
 
 // extractPattern reads the primary-input assignment out of a model.

@@ -93,6 +93,96 @@ func TestSessionATPGParity(t *testing.T) {
 	}
 }
 
+// TestSessionATPGSiteSharing drives one engine through a stem s-a-0,
+// s-a-1 and a pin fault of site A, a fault of site B, A again, and a
+// site no output observes. Every verdict is the one-shot engine's; a
+// same-site follow-up ships only retirement units and its head, never
+// the cone again; leaving a site retires its cone, and coming back
+// builds it afresh; the unobservable site costs no query.
+func TestSessionATPGSiteSharing(t *testing.T) {
+	c := circuit.C17()
+	dead := c.AddGate(circuit.And, "dead", c.NodeByName("1"), c.NodeByName("2")) // drives no output
+	a, b := c.NodeByName("16"), c.NodeByName("19")
+	m := session.NewManager(session.Config{})
+	defer m.Close()
+	sa, err := newSessionATPG(m, c, circuit.Encode(c), Options{MaxConflicts: defaultMaxConflicts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sa.Close()
+
+	// guardedBy counts the Add set's clauses guarded by ¬act; units
+	// lists its unit clauses.
+	guardedBy := func(act cnf.Var) int {
+		n := 0
+		for _, cl := range sa.cones.add {
+			if len(cl) > 1 && cl[len(cl)-1] == cnf.NegLit(act) {
+				n++
+			}
+		}
+		return n
+	}
+	units := func() []cnf.Lit {
+		var u []cnf.Lit
+		for _, cl := range sa.cones.add {
+			if len(cl) == 1 {
+				u = append(u, cl[0])
+			}
+		}
+		return u
+	}
+	test := func(flt Fault) {
+		t.Helper()
+		want := TestFault(c, flt, Options{}).Status
+		if got := sa.testFault(context.Background(), flt).Status; got != want {
+			t.Fatalf("fault %s: session %s, one-shot %s", flt, got, want)
+		}
+	}
+
+	test(Fault{Node: a, Pin: -1, StuckAt: false})
+	siteA := sa.site
+	cone := guardedBy(siteA.act)
+	if siteA.node != a || cone == 0 || len(units()) != 0 {
+		t.Fatalf("first query: site %+v, %d cone clauses, units %v", siteA, cone, units())
+	}
+	for _, flt := range []Fault{{Node: a, Pin: -1, StuckAt: true}, {Node: a, Pin: 1, StuckAt: true}} {
+		prev := sa.head
+		test(flt)
+		if sa.site != siteA || sa.head == prev {
+			t.Fatalf("%s: site %+v (was %+v), head %d (was %d)", flt, sa.site, siteA, sa.head, prev)
+		}
+		// Only the unit ¬actFault of the previous head, then the head.
+		if u := units(); len(u) != 1 || u[0] != cnf.NegLit(prev) {
+			t.Fatalf("%s: retirement units %v, want [¬%d]", flt, u, prev)
+		}
+		if h := guardedBy(sa.head); h+1 != len(sa.cones.add) || guardedBy(siteA.act) != 0 {
+			t.Fatalf("%s: Add set of %d clauses holds %d head clauses and %d cone clauses", flt, len(sa.cones.add), h, guardedBy(siteA.act))
+		}
+	}
+
+	prev := sa.head
+	test(Fault{Node: b, Pin: -1, StuckAt: false})
+	siteB := sa.site
+	if siteB.node != b || guardedBy(siteB.act) == 0 || !reflect.DeepEqual(units(), []cnf.Lit{cnf.NegLit(prev), cnf.NegLit(siteA.act)}) {
+		t.Fatalf("site B: %+v, %d cone clauses, units %v", siteB, guardedBy(siteB.act), units())
+	}
+
+	prev = sa.head
+	test(Fault{Node: a, Pin: -1, StuckAt: true})
+	if sa.site.node != a || sa.site.act == siteA.act || guardedBy(sa.site.act) != cone {
+		t.Fatalf("back at A: site %+v (first %+v), %d cone clauses, want %d", sa.site, siteA, guardedBy(sa.site.act), cone)
+	}
+	if !reflect.DeepEqual(units(), []cnf.Lit{cnf.NegLit(prev), cnf.NegLit(siteB.act)}) {
+		t.Fatalf("back at A: retirement units %v", units())
+	}
+
+	queries, live := m.Stats().Queries, sa.site
+	test(Fault{Node: dead, Pin: -1, StuckAt: false})
+	if q := m.Stats().Queries; q != queries || sa.site != live {
+		t.Fatalf("unobservable site: %d queries (was %d), site %+v (was %+v)", q, queries, sa.site, live)
+	}
+}
+
 // TestSessionShardsDeterministic: for a fixed shard count the sharded
 // driver is deterministic. Each shard's session sees the same query
 // sequence on every run, so two runs agree on every result, pattern
@@ -379,27 +469,39 @@ func TestFaultsContextCancel(t *testing.T) {
 	}
 }
 
-// coneSolver runs cone queries on one in-process solver the way a
-// session runs them: add the guarded cone, solve under its activation
-// literal, retire it with the unit ¬act.
+// coneSolver runs site and head queries on one in-process solver the
+// way a session runs them: add a site's guarded cone when the site
+// changes (retiring the previous one with the unit ¬actSite), add the
+// fault's guarded head, solve under [actSite, actFault], and retire the
+// head with the unit ¬actFault.
 type coneSolver struct {
 	cones *coneEncoder
 	s     *solver.Solver
+	site  siteCone
 }
 
 // testFault returns the fault's verdict and the conflicts and decisions
 // its query took.
 func (cs *coneSolver) testFault(flt Fault) (Status, solver.Stats) {
-	q := cs.cones.build(flt, cs.s.NumVars())
-	if q == nil {
-		return Redundant, solver.Stats{}
+	ce := cs.cones
+	ce.begin(cs.s.NumVars())
+	if cs.site.act == 0 || cs.site.node != flt.Node {
+		if cs.site.act != 0 {
+			ce.retire(cs.site.act)
+		}
+		site, ok := ce.buildSite(flt.Node)
+		if !ok {
+			return Redundant, solver.Stats{}
+		}
+		cs.site = site
 	}
-	for _, cl := range q.clauses {
+	head := ce.buildHead(flt, cs.site.f)
+	for _, cl := range ce.add {
 		cs.s.AddClause(cl)
 	}
 	before := cs.s.Stats
-	verdict := cs.s.Solve(cnf.PosLit(q.act))
-	cs.s.AddClause(cnf.Clause{cnf.NegLit(q.act)})
+	verdict := cs.s.Solve(cnf.PosLit(cs.site.act), cnf.PosLit(head))
+	cs.s.AddClause(cnf.Clause{cnf.NegLit(head)})
 	delta := solver.Stats{Conflicts: cs.s.Stats.Conflicts - before.Conflicts, Decisions: cs.s.Stats.Decisions - before.Decisions}
 	switch verdict {
 	case solver.Sat:
@@ -410,20 +512,28 @@ func (cs *coneSolver) testFault(flt Fault) (Status, solver.Stats) {
 	return Aborted, delta
 }
 
-// TestConeQueriesCloneMidFaultList forks a solver running cone queries
-// halfway down a fault list — after hundreds of level-0 sweeps — and
-// runs the rest of the list on the original and on two forks of the
-// same checkpoint. The retired-variable flags and the sweep trigger
-// travel with the image: the forks agree with the original on every
-// verdict, with each other on every search count, and a checkpoint of a
-// fork is as large as the one it came from. Run under -race (the forks
-// solve concurrently).
+// TestConeQueriesCloneMidFaultList forks a solver running site and head
+// queries halfway down a fault list grouped by site — after hundreds of
+// level-0 sweeps, inside a site's run of faults — and runs the rest of
+// the list on the original and on two forks of the same checkpoint,
+// which carry on with the original's live cone. The retired-variable
+// flags and the sweep trigger travel with the image: the forks agree
+// with the original on every verdict, with each other on every search
+// count, and a checkpoint of a fork is as large as the one it came
+// from. Run under -race (the forks solve concurrently).
 func TestConeQueriesCloneMidFaultList(t *testing.T) {
 	c := circuit.RippleCarryAdder(16)
-	faults := Collapse(c, FaultUniverse(c))
+	list := Collapse(c, FaultUniverse(c))
+	var faults []Fault
+	for _, i := range dealBySite(list, 1)[0] {
+		faults = append(faults, list[i])
+	}
 	enc := circuit.Encode(c)
-	orig := &coneSolver{newConeEncoder(c, enc), solver.FromFormula(enc.F, solver.Options{MaxConflicts: defaultMaxConflicts})}
+	orig := &coneSolver{cones: newConeEncoder(c, enc), s: solver.FromFormula(enc.F, solver.Options{MaxConflicts: defaultMaxConflicts})}
 	half := len(faults) / 2
+	for faults[half-1].Node != faults[half].Node {
+		half++ // split inside a site's run, so the forks reuse a live cone
+	}
 	for _, flt := range faults[:half] {
 		orig.testFault(flt)
 	}
@@ -441,7 +551,7 @@ func TestConeQueriesCloneMidFaultList(t *testing.T) {
 			t.Fatalf("fork holds %d live vars / %d clauses, original %d / %d",
 				s.NumLiveVars(), s.NumClauses(), orig.s.NumLiveVars(), orig.s.NumClauses())
 		}
-		forks[i] = &coneSolver{newConeEncoder(c, enc), s}
+		forks[i] = &coneSolver{cones: newConeEncoder(c, enc), s: s, site: orig.site}
 	}
 	if ck2, err := forks[0].s.Checkpoint(); err != nil || ck2.Bytes() != ck.Bytes() {
 		t.Fatalf("image of a fork: %d bytes (err %v), original image %d", ck2.Bytes(), err, ck.Bytes())
