@@ -428,8 +428,8 @@ func BenchmarkE15_ATPG(b *testing.B) {
 	}
 }
 
-// E16 (§3 CEC): plain miter vs internal-equivalence engine on
-// structurally similar pairs.
+// E16 (§3 CEC): strashed monolithic miter vs internal-equivalence
+// engine on structurally similar pairs.
 func BenchmarkE16_CEC(b *testing.B) {
 	a := circuit.RippleCarryAdder(8)
 	// A structurally different but functionally identical adder (carry
@@ -438,7 +438,6 @@ func BenchmarkE16_CEC(b *testing.B) {
 	modes := map[string]cec.Options{
 		"plain":    {},
 		"internal": {Internal: true, Seed: 3},
-		"strash":   {Strash: true},
 	}
 	for name, mode := range modes {
 		b.Run(name, func(b *testing.B) {

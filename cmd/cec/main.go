@@ -1,5 +1,7 @@
 // Command cec checks two combinational .bench netlists for equivalence
-// via a SAT miter (paper §3). With -internal it runs the
+// via a SAT miter (paper §3). The miter is structurally hashed first;
+// when every output pair merges, it is decided with no SAT call
+// ("sat calls 0"). With -internal it runs the
 // simulation-guided internal-equivalence engine (candidate equivalent
 // node pairs proven front-to-back with incremental SAT).
 package main

@@ -4,7 +4,11 @@
 // together — is unsatisfiable when asked to produce 1.
 //
 // Two engines are provided: a plain one-shot miter check, and the
-// simulation-guided internal-equivalence engine: random simulation
+// simulation-guided internal-equivalence engine. The plain check
+// structurally hashes the miter first (circuit.Strash), so the logic
+// the two designs share merges before SAT sees it; when every output
+// pair merges, the check answers without a SAT call. The internal
+// engine works on the raw miter: random simulation
 // proposes candidate equivalent internal node pairs, incremental SAT
 // proves them front-to-back, and proven equivalences are added as
 // constraints that dramatically simplify the final output check on
@@ -27,12 +31,9 @@ import (
 // Options configures an equivalence check.
 type Options struct {
 	// Internal enables the simulation-guided internal-equivalence
-	// engine; otherwise a single monolithic SAT call decides the miter.
+	// engine; otherwise the structurally hashed miter is decided by at
+	// most one monolithic SAT call.
 	Internal bool
-	// Strash applies structural hashing to the miter before encoding:
-	// structurally identical regions of the two designs merge away,
-	// often discharging large parts of the proof without SAT.
-	Strash bool
 	// SimWords is the number of 64-pattern words used to form candidate
 	// classes (0 = 4).
 	SimWords int
@@ -163,14 +164,14 @@ func CheckContext(ctx context.Context, a, b *circuit.Circuit, opts Options) (*Re
 }
 
 func checkPlain(ctx context.Context, a, b *circuit.Circuit, opts Options) (*Result, error) {
-	m, out, err := BuildMiter(a, b)
+	raw, _, err := BuildMiter(a, b)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Strash {
-		s := circuit.Strash(m)
-		out = s.Outputs[0]
-		m = s
+	m := circuit.Strash(raw)
+	out := m.Outputs[0]
+	if outputsMerged(m) {
+		return &Result{Equivalent: true, Decided: true}, nil
 	}
 	f, enc := circuit.EncodeProperty(m, out, true)
 	sopts := opts.Solver
@@ -213,6 +214,25 @@ func checkPlain(ctx context.Context, a, b *circuit.Circuit, opts Options) (*Resu
 		res.Counterexample = extractInputs(m, enc, model)
 	}
 	return res, nil
+}
+
+// outputsMerged reports whether structural hashing alone proved the
+// strashed miter m: every output pair merged into one node, so each
+// diff XOR has two identical fanins and the miter is constant 0. The
+// miter's output is the single diff XOR (its buffer collapsed) or the
+// OR over all of them.
+func outputsMerged(m *circuit.Circuit) bool {
+	diffs := m.Outputs
+	if top := &m.Nodes[m.Outputs[0]]; top.Type == circuit.Or {
+		diffs = top.Fanin
+	}
+	for _, d := range diffs {
+		n := &m.Nodes[d]
+		if n.Type != circuit.Xor || len(n.Fanin) != 2 || n.Fanin[0] != n.Fanin[1] {
+			return false
+		}
+	}
+	return true
 }
 
 func extractInputs(m *circuit.Circuit, enc *circuit.Encoding, model cnf.Assignment) []bool {
@@ -329,8 +349,12 @@ func checkInternal(ctx context.Context, a, b *circuit.Circuit, opts Options) (*R
 }
 
 // VerifyCounterexample checks that the returned input vector really
-// distinguishes the two circuits (inputs matched as in BuildMiter).
+// distinguishes the two circuits (inputs matched as in BuildMiter). A
+// vector of the wrong length distinguishes nothing.
 func VerifyCounterexample(a, b *circuit.Circuit, ce []bool) bool {
+	if len(ce) != len(a.Inputs) || len(a.Inputs) != len(b.Inputs) || len(a.Outputs) != len(b.Outputs) {
+		return false
+	}
 	av := a.SimulateBool(ce)
 	// Match inputs by name when possible, mirroring BuildMiter.
 	byName := true

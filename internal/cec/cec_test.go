@@ -181,36 +181,29 @@ func TestConstantCircuits(t *testing.T) {
 	}
 }
 
+// TestStrashModeCEC: the monolithic check strashes the miter, so a
+// circuit against its clone merges output for output and is decided
+// with no SAT call at all, while a mutant still reaches SAT and yields
+// a counterexample that distinguishes the submitted circuits.
 func TestStrashModeCEC(t *testing.T) {
 	a := circuit.RippleCarryAdder(5)
-	// Identical copy: strash merges everything, SAT gets a trivial
-	// instance.
-	plain, err := Check(a, a.Clone(), Options{})
+	res, err := Check(a, a.Clone(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashed, err := Check(a, a.Clone(), Options{Strash: true})
-	if err != nil {
-		t.Fatal(err)
+	if !res.Decided || !res.Equivalent || res.SATCalls != 0 || res.Conflicts != 0 {
+		t.Fatalf("clone must be proved by strash alone: %+v", res)
 	}
-	if !plain.Equivalent || !hashed.Equivalent {
-		t.Fatal("clone must be equivalent")
-	}
-	if hashed.Conflicts > plain.Conflicts {
-		t.Fatalf("strash made things worse: %d vs %d conflicts", hashed.Conflicts, plain.Conflicts)
-	}
-	// On an inequivalent pair strash must preserve the verdict and the
-	// counterexample must still distinguish.
 	b := mutate(a)
-	res, err := Check(a, b, Options{Strash: true})
+	res, err = Check(a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Equivalent {
-		t.Fatal("mutant must differ under strash mode")
+	if !res.Decided || res.Equivalent || res.SATCalls != 1 {
+		t.Fatalf("mutant must be refuted by one SAT call: %+v", res)
 	}
 	if !VerifyCounterexample(a, b, res.Counterexample) {
-		t.Fatal("strash-mode counterexample invalid")
+		t.Fatal("counterexample does not distinguish the circuits")
 	}
 }
 

@@ -2,8 +2,7 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 )
 
 // Strash structurally hashes the circuit: gates with the same type and
@@ -13,30 +12,19 @@ import (
 // the classic front-end of equivalence checkers: structurally identical
 // regions of two designs merge before SAT sees them.
 func Strash(c *Circuit) *Circuit {
-	out := New()
-	newID := make([]NodeID, len(c.Nodes))
-	byKey := make(map[string]NodeID)
-
-	gateNode := func(t GateType, fanin []NodeID, name string) NodeID {
-		// Commutative gates: normalize fanin order for hashing.
-		key := fmt.Sprintf("%d", t)
-		sorted := append([]NodeID(nil), fanin...)
-		switch t {
-		case And, Nand, Or, Nor, Xor, Xnor:
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		}
-		parts := make([]string, len(sorted))
-		for i, f := range sorted {
-			parts[i] = fmt.Sprintf("%d", f)
-		}
-		key += ":" + strings.Join(parts, ",")
-		if id, ok := byKey[key]; ok {
-			return id
-		}
-		id := out.AddGate(t, uniqueName(out, name), sorted...)
-		byKey[key] = id
-		return id
+	out := &Circuit{
+		Nodes:  make([]Node, 0, len(c.Nodes)),
+		byName: make(map[string]NodeID, len(c.Nodes)),
 	}
+	newID := make([]NodeID, len(c.Nodes))
+	table := newGateTable(len(c.Nodes))
+	// Every gate's fanin list lives in one backing array, each capped at
+	// its own length so an append to one never overwrites the next.
+	total := 0
+	for i := range c.Nodes {
+		total += len(c.Nodes[i].Fanin)
+	}
+	fanins := make([]NodeID, 0, total)
 
 	var c0, c1 NodeID = NoNode, NoNode
 	constNode := func(v bool) NodeID {
@@ -64,17 +52,73 @@ func Strash(c *Circuit) *Circuit {
 		case Buf:
 			newID[i] = newID[n.Fanin[0]] // collapse buffers
 		default:
-			fanin := make([]NodeID, len(n.Fanin))
-			for j, f := range n.Fanin {
-				fanin[j] = newID[f]
+			start := len(fanins)
+			for _, f := range n.Fanin {
+				fanins = append(fanins, newID[f])
 			}
-			newID[i] = gateNode(n.Type, fanin, n.Name)
+			fanin := fanins[start:len(fanins):len(fanins)]
+			// Every multi-input gate type is commutative: normalize the
+			// fanin order so swapped fanins hash alike.
+			slices.Sort(fanin)
+			slot, id := table.find(out, n.Type, fanin)
+			if id == NoNode {
+				id = out.addNode(Node{Type: n.Type, Fanin: fanin, Name: uniqueName(out, n.Name)})
+				table.slots[slot] = id
+			} else {
+				fanins = fanins[:start] // merged: reuse the space
+			}
+			newID[i] = id
 		}
 	}
 	for _, o := range c.Outputs {
 		out.MarkOutput(newID[o])
 	}
 	return out
+}
+
+// gateTable is Strash's hash-consing set: open addressing over the
+// gates already in the output circuit, keyed by gate type and sorted
+// fanin list. A probe compares the stored gate itself, so two gates
+// merge exactly when type and fanins are equal, never on a hash
+// collision alone.
+type gateTable struct {
+	slots []NodeID // NoNode marks an empty slot; len is a power of two
+}
+
+// newGateTable sizes the table for up to n gates at load ≤ 1/2, so it
+// never has to grow: Strash emits at most one gate per input node.
+func newGateTable(n int) gateTable {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	slots := make([]NodeID, size)
+	for i := range slots {
+		slots[i] = NoNode
+	}
+	return gateTable{slots: slots}
+}
+
+// find returns the gate of out with type t and fanin list fanin, or
+// NoNode and the empty slot where that gate belongs.
+func (g gateTable) find(out *Circuit, t GateType, fanin []NodeID) (int, NodeID) {
+	h := uint64(t)
+	for _, f := range fanin {
+		h = h*0x9e3779b97f4a7c15 + uint64(f)
+	}
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 32
+	mask := uint64(len(g.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		id := g.slots[i]
+		if id == NoNode {
+			return int(i), NoNode
+		}
+		if n := &out.Nodes[id]; n.Type == t && slices.Equal(n.Fanin, fanin) {
+			return int(i), id
+		}
+	}
 }
 
 func uniqueName(c *Circuit, base string) string {

@@ -587,6 +587,10 @@ func (j *Job) View() View {
 	return v
 }
 
+// checkEquivalence is the CEC engine execute runs; tests swap in a
+// faulty one to drive the witness check.
+var checkEquivalence = cec.CheckContext
+
 // execute dispatches the job to its engine under rctx and maps the
 // engine answer onto a Result. workers is the granted portfolio size,
 // prefer the recipe-memory hint, warm the remembered branching
@@ -634,7 +638,7 @@ func execute(rctx context.Context, j *Job, workers int, prefer string, warm []so
 		return res, nil
 
 	case KindCEC:
-		cres, err := cec.CheckContext(rctx, j.parsed.left, j.parsed.right, cec.Options{
+		cres, err := checkEquivalence(rctx, j.parsed.left, j.parsed.right, cec.Options{
 			MaxConflicts:      j.spec.MaxConflicts,
 			PortfolioWorkers:  workers,
 			PortfolioAdaptive: j.spec.Adaptive && workers > 1,
@@ -652,6 +656,11 @@ func execute(rctx context.Context, j *Job, workers int, prefer string, warm []so
 		case cres.Equivalent:
 			res.Verdict, res.Decided = "EQUIVALENT", true
 		default:
+			// The counterexample must distinguish the submitted circuits
+			// before the verdict can be seen, cached or persisted.
+			if !cec.VerifyCounterexample(j.parsed.left, j.parsed.right, cres.Counterexample) {
+				return nil, fmt.Errorf("%w: NOT_EQUIVALENT counterexample does not distinguish the circuits", ErrBadWitness)
+			}
 			res.Verdict, res.Decided = "NOT_EQUIVALENT", true
 			res.Counterexample = cres.Counterexample
 		}

@@ -66,6 +66,10 @@ var (
 	ErrClosed = errors.New("serve: scheduler closed")
 	// ErrCancelled is the terminal error of a cancelled job.
 	ErrCancelled = errors.New("serve: job cancelled")
+	// ErrBadWitness is the terminal error of a job whose engine answered
+	// with a witness that fails its check against the submitted input:
+	// the verdict is withheld, never cached and never persisted.
+	ErrBadWitness = errors.New("serve: witness check failed")
 )
 
 // Config sizes a Scheduler. The zero value is usable.

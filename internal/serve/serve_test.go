@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cec"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/gen"
@@ -544,6 +546,50 @@ func TestDeadlineYieldsUnknown(t *testing.T) {
 	// Undecided results must not poison the cache.
 	if st := s.Stats(); st.CacheEntries != 0 {
 		t.Errorf("cache entries %d after UNKNOWN, want 0", st.CacheEntries)
+	}
+}
+
+// TestCECWrongCounterexampleFails: a NOT_EQUIVALENT answer whose
+// counterexample does not distinguish the submitted circuits ends the
+// job failed with ErrBadWitness, and the verdict never reaches the
+// cache: the same spec solves afresh once the engine is sound again.
+func TestCECWrongCounterexampleFails(t *testing.T) {
+	sound := checkEquivalence
+	defer func() { checkEquivalence = sound }()
+	// The pair is equivalent, so no input vector distinguishes it.
+	checkEquivalence = func(_ context.Context, a, _ *circuit.Circuit, _ cec.Options) (*cec.Result, error) {
+		return &cec.Result{Decided: true, Counterexample: make([]bool, len(a.Inputs)), SATCalls: 1}, nil
+	}
+	s := NewScheduler(Config{CPUBudget: 1, MaxRunning: 1})
+	defer s.Close()
+	sp := cecSpec(t, true)
+	j, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); !errors.Is(err, ErrBadWitness) {
+		t.Fatalf("wrong counterexample: err %v, want ErrBadWitness", err)
+	}
+	if v := j.View(); v.Status != StatusFailed || v.Result != nil || !strings.Contains(v.Error, "counterexample") {
+		t.Fatalf("view %+v, want failed with a reason and no result", v)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.CacheEntries != 0 {
+		t.Fatalf("failed %d cache entries %d, want 1 and 0", st.Failed, st.CacheEntries)
+	}
+
+	checkEquivalence = sound
+	j, err = s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustResult(t, j)
+	if res.Verdict != "EQUIVALENT" || res.Cached {
+		t.Fatalf("resubmitted: %+v, want a fresh EQUIVALENT", res)
+	}
+	if st := s.Stats(); st.Solves != 2 || st.CacheHits != 0 {
+		t.Fatalf("solves %d cache hits %d, want 2 and 0", st.Solves, st.CacheHits)
 	}
 }
 

@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"slices"
-
-	"repro/internal/cnf"
-)
+import "repro/internal/cnf"
 
 // varHeap is an indexed max-heap of variables ordered by activity.
 // It holds a pointer to the solver's activity slice so bumps reorder
@@ -29,7 +25,7 @@ func (h *varHeap) grow(v cnf.Var) {
 // allocates nothing further.
 func (h *varHeap) reserve(n int) {
 	h.indices = growSlice(h.indices, n+1, -1)
-	h.heap = slices.Grow(h.heap, n-len(h.heap))
+	h.heap = reserve(h.heap, n)
 }
 
 func (h *varHeap) contains(v cnf.Var) bool {

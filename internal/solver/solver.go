@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math/rand"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -192,7 +191,7 @@ func (s *Solver) NewVar() cnf.Var {
 
 // growTo extends every per-variable and per-literal structure to n
 // variables, each with one allocation (New's whole variable range) or
-// append's amortized growth (NewVar's one at a time).
+// doubling (NewVar's one at a time).
 func (s *Solver) growTo(n int) {
 	first := s.NumVars() + 1
 	if n < first {
@@ -205,7 +204,7 @@ func (s *Solver) growTo(n int) {
 	s.activity = growSlice(s.activity, n+1, 0)
 	s.seen = growSlice(s.seen, n+1, 0)
 	s.varFlags = growSlice(s.varFlags, n+1, 0)
-	s.trail = slices.Grow(s.trail, n-len(s.trail)) // a full assignment fits
+	s.trail = reserve(s.trail, n) // a full assignment fits
 	s.order.reserve(n)
 	for v := max(first, 1); v <= n; v++ {
 		s.order.push(cnf.Var(v))
@@ -225,11 +224,26 @@ func growSlice[T any](s []T, n int, fill T) []T {
 	if n <= len(s) {
 		return s
 	}
-	s = slices.Grow(s, n-len(s))
-	for len(s) < n {
-		s = append(s, fill)
+	old := len(s)
+	s = reserve(s, n)[:n]
+	for i := old; i < n; i++ {
+		s[i] = fill
 	}
 	return s
+}
+
+// reserve returns s with capacity for at least n elements. Capacity at
+// least doubles when it has to grow (append's policy drops to ~1.25x for
+// long slices), so a session that adds a few variables per query
+// reallocates its per-variable and per-literal arrays O(log n) times,
+// not every few queries.
+func reserve[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(n, 2*cap(s)))
+	copy(grown, s)
+	return grown
 }
 
 // random returns the solver's deterministic PRNG, seeded from
