@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Fingerprint is a 256-bit canonical hash of a formula, suitable as a
@@ -60,39 +60,130 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 // particular the empty clause, which means "false"), the normalized
 // clauses are sorted lexicographically and deduplicated, and the
 // result — preceded by the variable count — is hashed with SHA-256.
-// The formula itself is never mutated; the function allocates scratch
-// proportional to the formula size.
+// The formula itself is never mutated.
+//
+// The normalized clauses share one flat literal buffer. The sort moves
+// one uint64 per clause, a key built from its first two literals with
+// the clause's index in the low bits (see sortKeys); only clauses whose
+// keys tie are compared literal by literal. The hashed bytes are
+// assembled in one buffer for a single SHA-256 pass.
 func FormulaFingerprint(f *Formula) Fingerprint {
-	norm := make([]Clause, 0, len(f.Clauses))
+	flat := make([]Lit, 0, f.NumLiterals())
+	// Clause i of the normalized formula is flat[bounds[i]:bounds[i+1]].
+	bounds := make([]int, 1, len(f.Clauses)+1)
 	for _, c := range f.Clauses {
-		nc, taut := c.Normalize()
+		off := len(flat)
+		flat = append(flat, c...)
+		nc, taut := Clause(flat[off:]).NormalizeInPlace()
 		if taut {
-			continue // "true" conjunct: contributes nothing
+			flat = flat[:off] // "true" conjunct: contributes nothing
+			continue
 		}
-		norm = append(norm, nc)
+		flat = flat[:off+len(nc)]
+		bounds = append(bounds, len(flat))
 	}
-	sort.Slice(norm, func(i, j int) bool { return slices.Compare(norm[i], norm[j]) < 0 })
+	clause := func(i uint64) []Lit { return flat[bounds[i]:bounds[i+1]] }
+	order := sortKeys(len(bounds)-1, clause)
 
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(f.NumVars()))
-	h.Write(buf[:])
-	var prev Clause
-	first := true
-	for _, c := range norm {
-		if !first && slices.Equal(prev, c) {
+	buf := make([]byte, 0, 8+8*len(order)+4*len(flat))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.NumVars()))
+	var prev []Lit
+	for i, idx := range order {
+		c := clause(idx)
+		if i > 0 && slices.Equal(prev, c) {
 			continue // duplicate clause
 		}
-		first = false
 		prev = c
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(c)))
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c)))
 		for _, l := range c {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(l))
-			h.Write(buf[:4])
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
 		}
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp
+	return sha256.Sum256(buf)
+}
+
+// sortKeys returns the indices 0..n-1 of the clauses clause(i) in
+// slices.Compare order.
+//
+// Each clause becomes one uint64: its first literal with the int32
+// sign bit flipped (so unsigned order is signed order) in the top 32
+// bits, then its second literal plus one clamped into the bits the
+// index leaves free (a missing literal reads 0, below every literal, so
+// a prefix never sorts after its extensions), then the index. Both
+// parts are monotone in the clause order, so sorting the uint64s — a
+// sort without a comparison callback — orders every clause correctly
+// except among clauses whose parts tie; each such run, short unless
+// many clauses share their first two literals, is sorted again with
+// slices.Compare.
+func sortKeys(n int, clause func(uint64) []Lit) []uint64 {
+	idxBits := bits.Len(uint(n))
+	mask := uint64(1)<<idxBits - 1
+	secondMax := int64(1)<<(32-idxBits) - 1 // 2^32 clauses would be 96 GB of headers
+	keys := make([]uint64, n)
+	for i := range keys {
+		c := clause(uint64(i))
+		var k uint64
+		if len(c) > 0 {
+			k = uint64(uint32(c[0])^(1<<31)) << 32
+		}
+		if len(c) > 1 {
+			k |= uint64(min(max(int64(c[1])+1, 1), secondMax)) << idxBits
+		}
+		keys[i] = k | uint64(i)
+	}
+	radixSort(keys, idxBits)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi]&^mask == keys[lo]&^mask {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], func(a, b uint64) int {
+				return slices.Compare(clause(a&mask), clause(b&mask))
+			})
+		}
+		lo = hi
+	}
+	for i := range keys {
+		keys[i] &= mask
+	}
+	return keys
+}
+
+// radixSort sorts keys by their bits above the low skip bits, stably:
+// least-significant byte first, skipping every byte position at which
+// all keys agree.
+func radixSort(keys []uint64, skip int) {
+	if len(keys) < 2 {
+		return
+	}
+	var and, or uint64 = ^uint64(0), 0
+	for _, k := range keys {
+		and &= k
+		or |= k
+	}
+	varying := (and ^ or) >> skip
+	tmp := make([]uint64, len(keys))
+	src, dst := keys, tmp
+	for shift := skip; varying != 0; shift, varying = shift+8, varying>>8 {
+		if varying&0xff == 0 {
+			continue
+		}
+		var count [256]int
+		for _, k := range src {
+			count[byte(k>>shift)]++
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[count[b]] = k
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src)
 }

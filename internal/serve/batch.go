@@ -139,9 +139,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // forwarded as a sync single-job submission; a forwarding failure
 // falls back to a local solve, mirroring routeSubmit.
 func (s *Server) runBatchItem(ctx context.Context, index int, item Spec, forwarded bool, results chan<- batchItemView) {
+	var in *ingest // routing's parse, reused by the local submit
 	if f := s.fleet; f != nil && !item.NoCache && !forwarded {
-		if key, ok := routingKey(&item); ok {
-			if owner := f.Owner(key[:]); owner != f.self {
+		in = item.ingest()
+		if in.err == nil {
+			if owner := f.Owner(in.key[:]); owner != f.self {
 				if v, ok := s.forwardBatchItem(ctx, owner, item); ok {
 					results <- batchItemView{Index: index, View: v}
 					return
@@ -151,7 +153,7 @@ func (s *Server) runBatchItem(ctx context.Context, index int, item Spec, forward
 		}
 	}
 
-	job, err := s.sched.Submit(item)
+	job, err := s.sched.submit(item, in)
 	if err != nil {
 		// Admission failed (bad spec, full queue, closing): the item is
 		// answered in place — batch siblings are unaffected.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,66 +102,55 @@ func (f *Fleet) Stats() FleetStats {
 	}
 }
 
-// routingKey computes a spec's ring position: the same canonical job
-// key the cache and singleflight use (for DIMACS, the formula
-// fingerprint — syntactic variants route to the same owner). A spec
-// that fails to parse has no position; the local path owns its 400.
-func routingKey(sp *Spec) (jobKey, bool) {
-	p, _, err := sp.parse()
-	if err != nil {
-		return jobKey{}, false
-	}
-	return sp.cacheKey(p), true
-}
-
-// routeSubmit applies fleet routing to a decoded submission. It
-// reports true when the request was fully answered by the owning peer;
-// false hands the job to the local scheduler — because this replica
-// owns it, routing does not apply (no fleet, NoCache, already
-// forwarded, unparseable), or the forward failed and local solving is
-// the fallback.
+// routeSubmit applies fleet routing to a decoded submission whose raw
+// JSON body is body. It reports true when the request was fully
+// answered by the owning peer; false hands the job to the local
+// scheduler — because this replica owns it, routing does not apply (no
+// fleet, NoCache, already forwarded), or the forward failed and local
+// solving is the fallback. The ring position is the job's cache key
+// (for DIMACS the formula fingerprint, so syntactic variants route to
+// the same owner); computing it parses the spec, and that ingest is
+// returned for the local submit to reuse, nil when routing parsed
+// nothing. A spec that fails to parse has no position: the local
+// submit answers its 400 from the returned ingest.
 //
-// The routing parse duplicates the parse the local Submit will do for
-// owned jobs — the key is needed BEFORE knowing whether to forward.
-// Accepted cost: routing is for fleets of small-formula traffic, where
-// the parse is cheap next to the solve.
-func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, req *submitRequest) bool {
+// The owner parses a forwarded job again: it does not trust a key
+// computed elsewhere. On a local fallback the job's parse tile also
+// covers the failed forward, since the trace is anchored where the
+// routing parse began.
+func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, req *submitRequest, body []byte) (bool, *ingest) {
 	f := s.fleet
 	if f == nil || req.NoCache {
-		return false
+		return false, nil
 	}
 	if r.Header.Get(HeaderForwarded) != "" {
 		// Loop prevention: forwarded jobs are served where they land.
 		w.Header().Set(HeaderOwner, f.self)
-		return false
+		return false, nil
 	}
-	key, ok := routingKey(&req.Spec)
-	if !ok {
-		return false
+	in := req.Spec.ingest()
+	if in.err != nil {
+		return false, in
 	}
-	owner := f.Owner(key[:])
+	owner := f.Owner(in.key[:])
 	w.Header().Set(HeaderOwner, owner)
 	if owner == f.self {
-		return false
+		return false, in
 	}
-	if s.forwardSubmit(w, r, owner, req) {
-		return true
+	if s.forwardSubmit(w, r, owner, body) {
+		return true, nil
 	}
 	f.fallbacks.Add(1)
-	return false
+	return false, in
 }
 
-// forwardSubmit proxies the submission to its owner and relays the
-// response verbatim (status, Content-Type, Retry-After, body — a 429
-// from the owner is a real answer, not a transport failure). It
-// reports false only when the owner could not be reached and the
-// caller should solve locally instead.
-func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, owner string, req *submitRequest) bool {
+// forwardSubmit proxies the submission body, byte for byte as received,
+// to its owner and relays the response verbatim (status, Content-Type,
+// Retry-After, body — a 429 from the owner is a real answer, not a
+// transport failure). It reports false only when the owner could not
+// be reached and the caller should solve locally instead.
+func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
 	f := s.fleet
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
 	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		f.fwdErrs.Add(1)

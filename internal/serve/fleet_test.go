@@ -5,8 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cnf"
 )
 
 // mustJSON marshals v or fails the test.
@@ -67,13 +70,13 @@ func newTestFleet(t *testing.T, n int, cfg Config) []*fleetReplica {
 // every replica agrees.
 func ownerIndex(t *testing.T, reps []*fleetReplica, sp Spec) int {
 	t.Helper()
-	key, ok := routingKey(&sp)
-	if !ok {
-		t.Fatal("routingKey failed on a valid spec")
+	in := sp.ingest()
+	if in.err != nil {
+		t.Fatalf("ingest failed on a valid spec: %v", in.err)
 	}
-	owner := reps[0].fleet.Owner(key[:])
+	owner := reps[0].fleet.Owner(in.key[:])
 	for _, rep := range reps[1:] {
-		if got := rep.fleet.Owner(key[:]); got != owner {
+		if got := rep.fleet.Owner(in.key[:]); got != owner {
 			t.Fatalf("replicas disagree on owner: %q vs %q", got, owner)
 		}
 	}
@@ -254,5 +257,54 @@ func TestNewFleetValidation(t *testing.T) {
 	}
 	if got := f.Stats().Members; got != 2 {
 		t.Fatalf("members = %d, want 2 (self listed twice deduplicates)", got)
+	}
+}
+
+// TestFleetParseOncePerReplica pins ingest cost across a two-replica
+// fleet: a DIMACS job owned by its entry replica is parsed exactly once
+// — routing's parse is the one the local submit uses — and its trace's
+// parse tile covers that parse; a forwarded job is parsed once on each
+// replica it touches.
+func TestFleetParseOncePerReplica(t *testing.T) {
+	// Swap the parser before any replica starts and restore it after
+	// they all stop (cleanups run last-registered first).
+	var parses atomic.Int64
+	sound := parseDIMACS
+	t.Cleanup(func() { parseDIMACS = sound })
+	const parseDelay = 2 * time.Millisecond
+	parseDIMACS = func(s string) (*cnf.Formula, error) {
+		parses.Add(1)
+		time.Sleep(parseDelay) // long enough to stand out in the trace
+		return sound(s)
+	}
+	reps := newTestFleet(t, 2, Config{CPUBudget: 2, MaxRunning: 2})
+
+	owned := satSpec(10, 7)
+	owner := ownerIndex(t, reps, owned)
+	parses.Store(0)
+	resp, v := postJob(t, reps[owner].ts, submitRequest{Spec: owned})
+	if resp.StatusCode != http.StatusOK || v.Status != StatusDone {
+		t.Fatalf("owned job: status %d, view %+v", resp.StatusCode, v)
+	}
+	if n := parses.Load(); n != 1 {
+		t.Fatalf("owned job parsed %d times, want 1", n)
+	}
+	tv, ok := reps[owner].sched.Get(v.ID).TraceView()
+	if !ok {
+		t.Fatal("job carries no trace")
+	}
+	if parse := tv.PhaseTotals()["parse"]; parse < parseDelay.Microseconds() {
+		t.Fatalf("parse tile %d µs, want ≥ %d: the trace misses the routing parse", parse, parseDelay.Microseconds())
+	}
+
+	forwarded := satSpec(10, 8)
+	entry := 1 - ownerIndex(t, reps, forwarded)
+	parses.Store(0)
+	resp, v = postJob(t, reps[entry].ts, submitRequest{Spec: forwarded})
+	if resp.StatusCode != http.StatusOK || v.Status != StatusDone {
+		t.Fatalf("forwarded job: status %d, view %+v", resp.StatusCode, v)
+	}
+	if n := parses.Load(); n != 2 {
+		t.Fatalf("forwarded job parsed %d times, want 2 (entry and owner once each)", n)
 	}
 }

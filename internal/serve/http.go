@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -117,8 +119,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 const maxRequestBytes = 64 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Read the body once: fleet routing forwards these bytes verbatim.
+	// The decoder, unlike json.Unmarshal, ignores data after the first
+	// value.
 	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			// Distinguishable from malformed JSON: the client should
@@ -129,10 +138,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
 		return
 	}
-	if s.routeSubmit(w, r, &req) {
+	handled, in := s.routeSubmit(w, r, &req, body)
+	if handled {
 		return // answered by the owning peer (see fleet.go)
 	}
-	job, err := s.sched.Submit(req.Spec)
+	job, err := s.sched.submit(req.Spec, in)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

@@ -105,6 +105,35 @@ type parsedPayload struct {
 // are guaranteed to produce identical decided verdicts.
 type jobKey [sha256.Size]byte
 
+// parseDIMACS is the DIMACS parser parse runs; tests swap in a
+// counting wrapper to pin how many times a submission is parsed.
+var parseDIMACS = cnf.ParseDIMACSString
+
+// ingest is a submission's pre-admission work, done once per replica:
+// the parsed payload, its instance class and — unless NoCache — its
+// cache key, or the error that rejects the spec. Fleet routing needs
+// the key before it knows whether this replica owns the job, so it
+// computes the ingest and hands it on to the local submit.
+type ingest struct {
+	// start is when parsing began: the job trace's anchor, so that the
+	// parse tile covers the parse wherever it ran.
+	start  time.Time
+	parsed parsedPayload
+	class  string
+	key    jobKey
+	err    error
+}
+
+// ingest parses sp and derives its cache key.
+func (sp *Spec) ingest() *ingest {
+	in := &ingest{start: time.Now()}
+	in.parsed, in.class, in.err = sp.parse()
+	if in.err == nil && !sp.NoCache {
+		in.key = sp.cacheKey(in.parsed)
+	}
+	return in
+}
+
 // parse validates the payload and derives the job's instance-class
 // label (the coarse bucket the cross-run recipe memory keys on). The
 // cache key is computed separately by cacheKey — NoCache jobs never
@@ -119,7 +148,7 @@ func (sp *Spec) parse() (parsedPayload, string, error) {
 	}
 	switch sp.Kind {
 	case KindDIMACS:
-		f, err := cnf.ParseDIMACSString(sp.DIMACS)
+		f, err := parseDIMACS(sp.DIMACS)
 		if err != nil {
 			return p, "", fmt.Errorf("%w: %v", ErrBadJob, err)
 		}

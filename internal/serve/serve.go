@@ -346,9 +346,19 @@ func (g ledgerGate) Acquire() func() {
 // coalescing onto an identical in-flight job, then the bounded queue —
 // which sheds with ErrQueueFull rather than blocking the caller.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
+	return s.submit(spec, nil)
+}
+
+// submit is Submit with the spec's ingest optionally done already (by
+// fleet routing, on this replica); nil parses here.
+func (s *Scheduler) submit(spec Spec, in *ingest) (*Job, error) {
 	// The trace anchor: every microsecond from here to finalize is
-	// attributed to some top-level phase, parsing included.
+	// attributed to some top-level phase, parsing included — also when
+	// routing parsed before this call.
 	entry := time.Now()
+	if in != nil {
+		entry = in.start
+	}
 	// Overload defense BEFORE the expensive parse+fingerprint: with the
 	// backlog already full, a large payload is almost certainly headed
 	// for the shed anyway, and parsing it first would let a burst of
@@ -358,7 +368,8 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	// MALFORMED large payload is also answered 429-retryable here
 	// instead of its terminal 400 — it gets the 400 once the queue
 	// drains, and validating first would hand the overload vector
-	// right back.
+	// right back. A job fleet routing already parsed is shed the same
+	// way.
 	if spec.payloadSize() > maxSheddablePayload && len(s.queue) >= cap(s.queue) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -368,22 +379,23 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		s.shed++
 		return nil, ErrQueueFull
 	}
-	parsed, class, err := spec.parse()
-	if err != nil {
-		return nil, err
-	}
 	// The key — and for DIMACS the canonical fingerprint behind it —
 	// is only needed by the cache and singleflight; NoCache jobs skip
 	// the cost entirely (their zero key never enters the inflight map,
-	// and finalize's delete is identity-guarded). Probe the cache
-	// before taking the scheduler lock: get() clones the stored result
-	// (a model is one int per variable), and that copy must not stall
-	// every executor behind s.mu.
-	var key jobKey
+	// and finalize's delete is identity-guarded).
+	if in == nil {
+		in = spec.ingest()
+	}
+	if in.err != nil {
+		return nil, in.err
+	}
+	parsed, class, key := in.parsed, in.class, in.key
+	// Probe the cache before taking the scheduler lock: get() clones
+	// the stored result (a model is one int per variable), and that
+	// copy must not stall every executor behind s.mu.
 	var cached Result
 	cacheHit := false
 	if !spec.NoCache {
-		key = spec.cacheKey(parsed)
 		cached, cacheHit = s.probeCache(&spec, key)
 	}
 
