@@ -127,6 +127,17 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("-adaptive -stats missing pool/lineage report:\n%s", out)
 	}
 
+	// A proof is one solver's log: -drat with -workers runs one worker,
+	// says so, and the stream it writes verifies.
+	dratOut := filepath.Join(dir, "php.drat")
+	out, code = run(t, satsolve, php, "-drat", dratOut, "-workers", "4")
+	if code != 20 || !strings.Contains(out, "running 1 worker instead of -workers 4") {
+		t.Fatalf("-drat -workers 4: code %d\n%s", code, out)
+	}
+	if out, code = run(t, satsolve, php, "-drat-check", dratOut); code != 0 || !strings.Contains(out, "VERIFIED") {
+		t.Fatalf("-drat-check of the -workers 4 stream: code %d\n%s", code, out)
+	}
+
 	// Wall-clock timeout: a hard instance must give up with s UNKNOWN
 	// and the distinct exit code 40.
 	hard, _ := run(t, cnfgen, "", "-family", "php", "-n", "11")

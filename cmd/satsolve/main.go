@@ -16,9 +16,11 @@
 // profiles covering the parse and the solve, nothing after it.
 //
 // Proof logging: -drat FILE streams a DRAT refutation (deletion lines
-// included) to FILE while solving; -drat-check FILE verifies such a
-// file against the formula with the independent RUP checker instead of
-// solving ("s VERIFIED" and exit 0 on success).
+// included) to FILE while solving, on one worker whatever -workers
+// asks for, so every UNSAT answer's file is a complete refutation;
+// -drat-check FILE verifies such a file against the formula with the
+// independent RUP checker instead of solving ("s VERIFIED" and exit 0
+// on success).
 package main
 
 import (
@@ -56,7 +58,7 @@ func main() {
 		adaptive  = flag.Bool("adaptive", false, "adaptive portfolio scheduling: kill clearly-losing recipes and respawn with fresh seeds (needs -workers > 1)")
 		grace     = flag.Duration("grace", 0, "adaptive scheduling: minimum worker age before it may be killed (0 = 2s)")
 		poolQuant = flag.Float64("pool-quantile", 0, "shared-pool dynamic admission quantile in (0,1]: lower admits only the best-LBD clauses (0 = 0.5)")
-		dratPath  = flag.String("drat", "", "stream a DRAT proof (deletion lines included) to this file while solving; an UNSAT answer is certified when no incompleteness warning is printed")
+		dratPath  = flag.String("drat", "", "stream a DRAT proof (deletion lines included) to this file while solving (runs one worker; needs the plain CDCL engine)")
 		dratCheck = flag.String("drat-check", "", "verify a DRAT proof file against the formula instead of solving: prints s VERIFIED and exits 0 when the refutation is accepted, exits 1 otherwise")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget, e.g. 10s (0 = none); exhaustion exits 40 with s UNKNOWN")
 		stats     = flag.Bool("stats", false, "print search statistics")
@@ -154,6 +156,10 @@ func main() {
 	if *workers == 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
+	if *workers > 1 && *dratPath != "" {
+		fmt.Fprintln(os.Stderr, "satsolve: -drat logs one solver's search; running 1 worker instead of -workers", *workers)
+		*workers = 1
+	}
 	if *workers > 1 {
 		if *local {
 			fmt.Fprintln(os.Stderr, "satsolve: -workers applies to the CDCL engine only; ignored with -local-search")
@@ -201,9 +207,11 @@ func main() {
 		probeOpts := opts
 		probeOpts.PortfolioWorkers = 0
 		probeOpts.Solver.MaxConflicts = *warmStart
-		// The probe must not write into the proof stream: interleaving
-		// its lemmas with the main solve's would corrupt the refutation.
-		probeOpts.Proof = nil
+		// The probe writes into the proof stream too. Its lemmas and
+		// deletions all precede the main search's, and each of the main
+		// search's lemmas stays RUP over the input plus the probe's
+		// surviving lemmas, so the file is one refutation whichever
+		// solve decides.
 		probe := core.SolveContext(ctx, formula, probeOpts)
 		if probe.Status != solver.Unknown {
 			ans = probe
@@ -227,12 +235,6 @@ func main() {
 		if err := dratFile.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "satsolve: drat:", err)
 			os.Exit(1)
-		}
-		if ans.Status == solver.Unsat && !ans.Proved {
-			// The verdict came from a worker other than the proof logger
-			// (or from a proof-suppressed stage): the file is not a
-			// complete refutation and must not be treated as one.
-			fmt.Fprintln(os.Stderr, "satsolve: warning: DRAT stream incomplete — the UNSAT verdict was not derived by the proof-logging solver")
 		}
 	}
 	if *stats {

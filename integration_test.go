@@ -6,6 +6,8 @@
 package sateda
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -221,6 +223,45 @@ func TestIntegrationDIMACSRoundTripSolve(t *testing.T) {
 			if err := solver.VerifyUnsat(f, proof); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// A proof-carrying solve runs one solver even when a portfolio is
+// asked for: on a pigeonhole, a random 3-SAT and an adder-miter
+// refutation, four requested workers come back as one Proved worker
+// whose DRAT stream the independent checker accepts.
+func TestIntegrationProofRunsOneWorker(t *testing.T) {
+	miter, out, err := cec.BuildMiter(circuit.RippleCarryAdder(8), circuit.CarrySkipAdder(8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adder, _ := circuit.EncodeProperty(miter, out, true)
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{
+		{"php6", gen.Pigeonhole(6)},
+		{"rand3-unsat", gen.RandomKSAT(60, 360, 3, 1)},
+		{"adder-miter", adder},
+	} {
+		var buf bytes.Buffer
+		w := solver.NewDRATWriter(&buf)
+		ans := core.SolveContext(context.Background(), tc.f, core.Options{Proof: w, PortfolioWorkers: 4})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if ans.Status != solver.Unsat || !ans.Proved {
+			t.Fatalf("%s: status %v proved %v, want a Proved UNSAT", tc.name, ans.Status, ans.Proved)
+		}
+		if ans.Portfolio == nil {
+			t.Fatalf("%s: no portfolio report", tc.name)
+		}
+		if n := len(ans.Portfolio.Workers); n != 1 {
+			t.Fatalf("%s: %d workers ran, want exactly one", tc.name, n)
+		}
+		if err := solver.VerifyDRAT(tc.f, &buf); err != nil {
+			t.Fatalf("%s: DRAT stream rejected: %v", tc.name, err)
 		}
 	}
 }

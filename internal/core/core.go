@@ -45,12 +45,13 @@ type Options struct {
 	// Solver carries backtrack-search options.
 	Solver solver.Options
 	// Proof, when non-nil, streams a DRAT refutation of f from the
-	// search stage (the designated proof worker under a portfolio, the
-	// solver itself sequentially). The stream certifies the verdict
-	// only when Answer.Proved is set: it is withheld whenever a
-	// formula-transforming stage runs (Preprocess, EquivalencyReasoning,
-	// RecursiveLearning) or a non-CDCL engine is selected, because the
-	// proof would refute the transformed formula, not f.
+	// search stage, which then runs a single solver (a portfolio runs
+	// its base worker alone; see portfolio.Options.Base). The stream
+	// certifies the verdict only when Answer.Proved is set: it is
+	// withheld whenever a formula-transforming stage runs (Preprocess,
+	// EquivalencyReasoning, RecursiveLearning) or a non-CDCL engine is
+	// selected, because the proof would refute the transformed
+	// formula, not f.
 	Proof solver.ProofWriter
 	// LocalSearch carries WalkSAT options.
 	LocalSearch localsearch.Options
@@ -90,10 +91,8 @@ type Options struct {
 type Answer struct {
 	Status solver.Status
 	// Proved reports that Options.Proof received a complete DRAT
-	// refutation of the input formula for this Unsat answer (under a
-	// portfolio: the designated proof worker's verdict was the one
-	// adopted). When false for an Unsat answer, the caller may replay
-	// the solve with a fresh sink to obtain a proof.
+	// refutation of the input formula for this Unsat answer. It is
+	// false whenever the stream was withheld (see Options.Proof).
 	Proved bool
 	// Model is a satisfying assignment over the ORIGINAL variables
 	// (preprocessing substitutions undone).

@@ -204,83 +204,35 @@ func TestAdaptiveUnderAssumptions(t *testing.T) {
 	}
 }
 
-// TestProofWorkerTopology: a proof-requesting base designates worker 0
-// as the proof worker — it must stay out of the shared pool entirely
-// (no imports, which would poison the refutation, and no exports, whose
-// idle cursor would pin the pool backlog) — while its siblings race
-// with sharing intact. When the proof worker's verdict is the one
-// adopted, Result.Proved is set and the stream must verify.
-func TestProofWorkerTopology(t *testing.T) {
-	f := gen.Pigeonhole(6)
+// TestProofWorkerWinsAlone: a proof-carrying base runs one worker
+// whatever Workers asks for — the base configuration, bit-for-bit the
+// sequential solver — so every UNSAT verdict is Proved and the stream
+// is that worker's complete refutation.
+func TestProofWorkerWinsAlone(t *testing.T) {
+	f := gen.Pigeonhole(5)
 	sink := &solver.Proof{}
 	res := Solve(context.Background(), f, Options{
 		Workers: 3,
 		Base:    solver.Options{Proof: sink},
 	})
 	if res.Status != solver.Unsat {
-		t.Fatalf("PHP(6) must be UNSAT, got %v", res.Status)
-	}
-	for _, w := range res.Workers {
-		if w.Slot == 0 && (w.Stats.Exported != 0 || w.Stats.Imported != 0) {
-			t.Fatalf("proof worker touched the shared pool: %+v", w.Stats)
-		}
-	}
-	if res.Proved {
-		if err := solver.VerifyUnsat(f, sink); err != nil {
-			t.Fatalf("Proved result but stream fails verification: %v", err)
-		}
-	}
-}
-
-// TestProofWorkerWinsAlone: with a single worker, proof mode must stay
-// bit-for-bit the sequential solver and the verdict is always Proved.
-func TestProofWorkerWinsAlone(t *testing.T) {
-	f := gen.Pigeonhole(5)
-	sink := &solver.Proof{}
-	res := Solve(context.Background(), f, Options{
-		Workers: 1,
-		Base:    solver.Options{Proof: sink},
-	})
-	if res.Status != solver.Unsat {
 		t.Fatalf("PHP(5) must be UNSAT, got %v", res.Status)
 	}
 	if !res.Proved {
-		t.Fatal("single-worker UNSAT must be Proved")
+		t.Fatal("proof-carrying UNSAT must be Proved")
+	}
+	if len(res.Workers) != 1 || res.Winner != 0 {
+		t.Fatalf("proof run spawned %d workers (winner %d), want the base worker alone", len(res.Workers), res.Winner)
+	}
+	seq := solver.FromFormula(f, solver.Options{})
+	if seq.Solve() != solver.Unsat || res.Workers[0].Stats.Conflicts != seq.Stats.Conflicts {
+		t.Fatalf("proof worker searched %d conflicts, sequential solver %d", res.Workers[0].Stats.Conflicts, seq.Stats.Conflicts)
 	}
 	if sink.NumLemmas() == 0 {
 		t.Fatal("no lemmas streamed")
 	}
 	if err := solver.VerifyUnsat(f, sink); err != nil {
 		t.Fatalf("proof stream rejected: %v", err)
-	}
-}
-
-// TestProofWorkerKillExempt: under an adaptive schedule aggressive
-// enough to kill every non-leader at every sample, slot 0 must never be
-// killed or respawned while a proof is being streamed — abandoning the
-// stream mid-refutation would leave the verdict uncertifiable.
-func TestProofWorkerKillExempt(t *testing.T) {
-	sink := &solver.Proof{}
-	res := Solve(context.Background(), gen.Pigeonhole(7), Options{
-		Workers:   3,
-		Adaptive:  true,
-		Grace:     time.Millisecond,
-		KillBelow: 2, // kill everything but the leader at every tick
-		Base:      solver.Options{Proof: sink},
-	})
-	if res.Status != solver.Unsat {
-		t.Fatalf("PHP(7) must be UNSAT, got %v", res.Status)
-	}
-	for _, w := range res.Workers {
-		if w.Slot != 0 {
-			continue
-		}
-		if w.Gen != 0 {
-			t.Fatalf("proof slot was respawned: %+v", w)
-		}
-		if w.Reason == "killed-slow" || w.Reason == "retired" {
-			t.Fatalf("proof worker was killed: %+v", w)
-		}
 	}
 }
 

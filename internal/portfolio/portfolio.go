@@ -110,16 +110,11 @@ type Options struct {
 	// Base is the configuration worker 0 runs verbatim and later workers
 	// diversify from.
 	//
-	// Proof mode: when Base requests a proof (a Base.Proof sink),
-	// worker 0 becomes the designated proof worker —
-	// it alone streams DRAT, stays out of the shared pool (importing
-	// foreign clauses would poison the proof; its own exports are
-	// withheld so an idle pool cursor cannot pin the backlog and choke
-	// admission fleet-wide), and is exempt from adaptive kills so the
-	// stream is never abandoned mid-refutation. The proof fields are
-	// stripped from every other worker, which race and share exactly as
-	// in a proofless portfolio. Result.Proved reports whether the
-	// adopted verdict came from the proof worker.
+	// A proof-carrying Base (a Base.Proof sink) runs exactly one
+	// worker, whatever Workers says: a DRAT stream is one search's log,
+	// so a racing sibling could only waste CPU when it loses and leave
+	// the stream incomplete when it wins. Result.Proved then reports
+	// whether that worker refuted the formula.
 	Base solver.Options
 
 	// Seed perturbs the per-worker PRNG seeds (combined with Base.Seed),
@@ -191,11 +186,9 @@ type Result struct {
 	// Winner is the index into Workers of the first worker to answer
 	// (-1 if none).
 	Winner int
-	// Proved reports that the adopted verdict was produced by the
-	// designated proof worker (see Options.Base), so its DRAT stream is
-	// a complete witness. False for proofless runs, when a non-proof
-	// sibling won the race (the serving layer then replays the solve
-	// off the hot path to obtain a proof), and for Sat verdicts, which
+	// Proved reports that Options.Base carried a proof sink and the
+	// verdict is Unsat: the sink holds the lone worker's complete DRAT
+	// refutation. False for proofless runs and for Sat verdicts, which
 	// are certified by the model instead.
 	Proved bool
 	// Warm is the winning worker's branching warm-start profile (its
@@ -311,6 +304,10 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	proof := p.opts.Base.Proof != nil
+	if proof {
+		n = 1 // a proof is one solver's log (Options.Base)
+	}
 	adaptive := p.opts.Adaptive && n > 1
 	grace := p.opts.Grace
 	if grace <= 0 {
@@ -333,9 +330,6 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 	if preferIdx == 0 {
 		preferIdx = -1
 	}
-	// Proof mode: worker 0 streams the proof and stays out of the pool;
-	// everyone else races and shares as usual (Options.Base).
-	proofMode := p.opts.Base.Proof != nil
 	share := !p.opts.NoShare && n > 1
 	shared := newPool(p.opts.PoolCap, n, p.opts.PoolQuantile)
 
@@ -356,13 +350,7 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 	var wg sync.WaitGroup
 
 	spawn := func(slot, gen int, o solver.Options, name string, recipeIdx int) {
-		proofWorker := proofMode && slot == 0
-		if proofMode && !proofWorker {
-			// Only the designated worker carries the proof burden; its
-			// siblings run the diversified recipes unencumbered.
-			o.Proof = nil
-		}
-		if share && !proofWorker {
+		if share {
 			shared.openSlot(slot, gen)
 			var fpBuf []cnf.Lit // per-worker fingerprint scratch: hash outside the pool lock
 			o.ExportClause = func(lits []cnf.Lit, lbd int) bool {
@@ -509,12 +497,6 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 				if w == nil || w == best || liveNow <= 1 {
 					continue // never kill the last live worker or the leader
 				}
-				if proofMode && slot == 0 {
-					// The proof worker is kill-exempt: its score is
-					// proof-taxed by construction, and killing it would
-					// abandon the DRAT stream mid-refutation.
-					continue
-				}
 				if now.Sub(w.spawned) < grace {
 					continue
 				}
@@ -549,7 +531,7 @@ func (p *Portfolio) Solve(ctx context.Context, assumptions ...cnf.Lit) *Result {
 	sort.Slice(res.Workers, func(i, j int) bool { return res.Workers[i].ID < res.Workers[j].ID })
 	if winner != nil {
 		res.Winner = winner.id
-		res.Proved = proofMode && winner.slot == 0 && res.Status == solver.Unsat
+		res.Proved = proof && res.Status == solver.Unsat
 		// Every worker goroutine has exited (wg.Wait above), so reading
 		// the winner's heuristic state is race-free here.
 		res.Warm = winner.s.WarmProfile(warmProfileSize)

@@ -43,10 +43,11 @@ const (
 // 8-bit LFSR) needs about 257 frames.
 const maxBMCDepth = 4096
 
-// singleThreaded reports whether the kind's engine can only ever use
-// one worker; the fair-share scheduler accounts such jobs as one CPU
-// instead of a full portfolio share.
-func (k Kind) singleThreaded() bool { return k == KindBMC }
+// singleThreaded reports whether the job can only ever use one worker:
+// BMC's sequential unroller, and a certified job, whose DRAT stream is
+// one solver's log (core.Options.Proof). The fair-share scheduler
+// accounts such jobs as one CPU instead of a full portfolio share.
+func (sp *Spec) singleThreaded() bool { return sp.Kind == KindBMC || sp.Proof }
 
 // payloadSize is the total byte size of the spec's engine inputs — the
 // cost driver of parsing and fingerprinting.
@@ -338,19 +339,14 @@ type ProofInfo struct {
 	// UNSAT job's DRAT stream passed the independent incremental RUP
 	// checker, resp. a SAT job's model satisfied every clause),
 	// "truncated" (the stream outgrew the capture bound and was
-	// discarded), "unavailable" (no certificate could be derived within
-	// the job's budget), or "failed: ..." (a certificate was produced
-	// but rejected — do not treat the verdict as certified).
+	// discarded), or "failed: ..." (a certificate was produced but
+	// rejected — do not treat the verdict as certified).
 	Checker string `json:"checker"`
 	// DRAT is the refutation in textual DRAT format, deletion lines
 	// included. Present only for UNSAT verdicts whose stream verified.
 	DRAT string `json:"drat,omitempty"`
 	// Deletions counts the "d" lines in DRAT.
 	Deletions int `json:"deletions,omitempty"`
-	// Replayed marks a certificate re-derived by the bounded replay
-	// solve: the racing portfolio's winner was not the proof worker, so
-	// a sequential proof-logging solve ran after the verdict.
-	Replayed bool `json:"replayed,omitempty"`
 	// Truncated marks a stream that outgrew the capture bound.
 	Truncated bool `json:"truncated,omitempty"`
 	// ResultDigest is the hex SHA-256 over the canonical verdict (kind,
@@ -661,7 +657,7 @@ func execute(rctx context.Context, j *Job, workers int, prefer string, warm []so
 		}
 		if j.spec.Proof && res.Decided {
 			certStart := time.Now()
-			res.Proof = certifyDIMACS(rctx, j, res, ans, capture)
+			res.Proof = certifyDIMACS(j, res, ans, capture)
 			j.certifyDur = time.Since(certStart)
 		}
 		return res, nil
@@ -720,11 +716,6 @@ func execute(rctx context.Context, j *Job, workers int, prefer string, warm []so
 // truncated; the verdict itself is unaffected.
 const proofMaxBytes = 32 << 20
 
-// minReplayConflicts is the floor of the replay solve's conflict
-// budget: tiny instances decided in a handful of conflicts still
-// deserve a real re-derivation attempt.
-const minReplayConflicts = 100_000
-
 // proofCapture collects a solve's DRAT stream into a bounded in-memory
 // buffer. Writes past proofMaxBytes are discarded (never surfaced to
 // the solver as an error) and the capture marked truncated.
@@ -760,33 +751,25 @@ func (c *proofCapture) text() string {
 
 // certifyDIMACS builds a decided DIMACS result's certification block.
 // SAT verdicts are certified by checking the model clause by clause;
-// UNSAT verdicts by verifying a DRAT refutation with the independent
-// incremental RUP checker — the main solve's stream when the designated
-// proof worker's verdict was the one adopted (ans.Proved), otherwise a
-// stream re-derived by a bounded sequential replay solve.
-func certifyDIMACS(rctx context.Context, j *Job, res *Result, ans *core.Answer, capture *proofCapture) *ProofInfo {
+// UNSAT verdicts by verifying the solve's own DRAT stream with the
+// independent incremental RUP checker.
+func certifyDIMACS(j *Job, res *Result, ans *core.Answer, capture *proofCapture) *ProofInfo {
 	info := &ProofInfo{}
-	if res.Verdict == "SAT" {
+	switch {
+	case res.Verdict == "SAT":
 		if err := solver.VerifyModel(j.parsed.formula, ans.Model); err != nil {
 			info.Checker = "failed: " + err.Error()
 		} else {
 			info.Checker = "verified"
 		}
-		info.ResultDigest = resultDigest(res)
-		return info
-	}
-	drat, ok, disagreed := unsatCertificate(rctx, j, res, ans, capture, info)
-	switch {
-	case disagreed:
-		info.Checker = "failed: replay solve contradicted the UNSAT verdict"
-	case info.Truncated:
+	case capture.truncated:
 		info.Checker = "truncated"
-	case !ok:
-		info.Checker = "unavailable"
+		info.Truncated = true
 	default:
 		// drat may legitimately be empty: a formula refuted by root-level
 		// propagation alone needs no lemmas, and the checker's final
 		// database-conflicts check certifies exactly that.
+		drat := capture.text()
 		if err := solver.VerifyDRAT(j.parsed.formula, strings.NewReader(drat)); err != nil {
 			info.Checker = "failed: " + err.Error()
 		} else {
@@ -799,45 +782,6 @@ func certifyDIMACS(rctx context.Context, j *Job, res *Result, ans *core.Answer, 
 	}
 	info.ResultDigest = resultDigest(res)
 	return info
-}
-
-// unsatCertificate produces the DRAT text certifying an UNSAT verdict,
-// filling info's Replayed/Truncated provenance flags. The replay path
-// runs when the racing portfolio was decided by a non-proof worker: a
-// bounded sequential proof-logging solve, off the race's hot path — the
-// client-visible verdict latency was already paid; the replay only
-// delays this one job's certificate.
-func unsatCertificate(rctx context.Context, j *Job, res *Result, ans *core.Answer, capture *proofCapture, info *ProofInfo) (drat string, ok, disagreed bool) {
-	if ans.Proved {
-		if capture.truncated {
-			info.Truncated = true
-			return "", false, false
-		}
-		return capture.text(), true, false
-	}
-	info.Replayed = true
-	budget := res.Conflicts * 4
-	if budget < minReplayConflicts {
-		budget = minReplayConflicts
-	}
-	if j.spec.MaxConflicts > 0 && j.spec.MaxConflicts < budget {
-		budget = j.spec.MaxConflicts // the client's per-query bound still binds
-	}
-	replay := newProofCapture()
-	rans := core.SolveContext(rctx, j.parsed.formula, core.Options{
-		Solver: solver.Options{MaxConflicts: budget, WarmStart: res.warm},
-		Proof:  replay.w,
-	})
-	switch {
-	case rans.Status == solver.Sat:
-		return "", false, true
-	case rans.Status != solver.Unsat || !rans.Proved:
-		return "", false, false // budget or deadline expired: no certificate
-	case replay.truncated:
-		info.Truncated = true
-		return "", false, false
-	}
-	return replay.text(), true, false
 }
 
 // resultDigest canonically fingerprints the certified verdict — kind,

@@ -40,7 +40,6 @@ func (s *Scheduler) registerMetrics() {
 		{"satserved_coalesced_total", "jobs served by singleflight coalescing", func(st *Stats) int64 { return st.Coalesced }},
 		{"satserved_cache_evictions_total", "results dropped by the LRU at capacity", func(st *Stats) int64 { return st.CacheEvictions }},
 		{"satserved_proof_jobs_total", "decided certified jobs", func(st *Stats) int64 { return st.ProofJobs }},
-		{"satserved_proof_replays_total", "certificates derived by replay solves", func(st *Stats) int64 { return st.ProofReplays }},
 		{"satserved_proof_check_failures_total", "certificates rejected server-side", func(st *Stats) int64 { return st.ProofFailures }},
 		{"satserved_audit_append_errors_total", "failed audit chain appends", func(st *Stats) int64 { return st.AuditAppendErrors }},
 		{"satserved_sessions_opened_total", "sessions opened", func(st *Stats) int64 { return st.Sessions.Opened }},

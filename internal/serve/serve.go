@@ -185,9 +185,9 @@ type Stats struct {
 	Sessions session.Stats
 	// Store snapshots the persistence layer (zero when store-less).
 	Store StoreStats
-	// ProofJobs / ProofReplays / ProofFailures count decided certified
-	// jobs, replay-derived certificates and rejected certificates.
-	ProofJobs, ProofReplays, ProofFailures int64
+	// ProofJobs / ProofFailures count decided certified jobs and
+	// rejected certificates.
+	ProofJobs, ProofFailures int64
 	// AuditRecords is the audit chain length; AuditAppendErrors counts
 	// failed synchronous appends; AuditChainValid reports the boot-time
 	// chain verification.
@@ -234,7 +234,7 @@ type Scheduler struct {
 	inflight map[jobKey]*Job
 	running  int
 	// runningSingle counts the running jobs that can only ever use one
-	// worker (BMC's sequential unroller); the fair share divides the
+	// worker (Spec.singleThreaded); the fair share divides the
 	// remaining budget over the portfolio-capable jobs only.
 	runningSingle int
 	// workersInUse is the debit ledger of granted portfolio workers:
@@ -254,11 +254,10 @@ type Scheduler struct {
 
 	submitted, completed, failed, cancelled int64
 	shed, solves, cacheHits, coalesced      int64
-	// proofJobs counts decided Spec.Proof jobs; proofReplays the ones
-	// whose certificate came from the bounded replay solve; and
-	// proofFailures the server-side certificate rejections (a "failed:"
-	// checker outcome — solver-bug territory, worth alerting on).
-	proofJobs, proofReplays, proofFailures int64
+	// proofJobs counts decided Spec.Proof jobs, and proofFailures the
+	// server-side certificate rejections (a "failed:" checker outcome —
+	// solver-bug territory, worth alerting on).
+	proofJobs, proofFailures int64
 }
 
 // NewScheduler starts a scheduler with cfg's executors running.
@@ -559,7 +558,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		ProofJobs: s.proofJobs, ProofReplays: s.proofReplays,
+		ProofJobs:         s.proofJobs,
 		ProofFailures:     s.proofFailures,
 		AuditRecords:      auditSeq,
 		AuditAppendErrors: s.audit.errs.Load(),
@@ -638,7 +637,7 @@ func (s *Scheduler) runJob(j *Job) {
 		return
 	}
 
-	single := j.spec.Kind.singleThreaded()
+	single := j.spec.singleThreaded()
 	s.mu.Lock()
 	s.running++
 	if single {
@@ -722,9 +721,6 @@ func (s *Scheduler) runJob(j *Job) {
 				}
 				s.mu.Lock()
 				s.proofJobs++
-				if res.Proof.Replayed {
-					s.proofReplays++
-				}
 				if strings.HasPrefix(res.Proof.Checker, "failed") {
 					s.proofFailures++
 				}

@@ -633,6 +633,40 @@ func TestFairShareClamp(t *testing.T) {
 	if res := mustResult(t, j2); res.Workers != 4 {
 		t.Fatalf("granted %d workers after release, want the full budget of 4", res.Workers)
 	}
+
+	// A certified job is one solver's log: it takes and debits one
+	// worker like a BMC job, so with a budget of 2 a plain job arriving
+	// beside it gets the other one — never the floor on top of a
+	// proof job holding the whole budget.
+	s2 := NewScheduler(Config{CPUBudget: 2, MaxRunning: 2})
+	defer s2.Close()
+	proofBlocker := blockerSpec()
+	proofBlocker.Proof = true
+	pb, err := s2.Submit(proofBlocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, pb, StatusRunning)
+	if w := pb.View().Workers; w != 1 {
+		t.Fatalf("proof job granted %d workers, want 1", w)
+	}
+	plain := satSpec(10, 5)
+	plain.Workers = 64
+	j3, err := s2.Submit(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := mustResult(t, j3); res.Workers != 1 {
+		t.Fatalf("plain job beside a proof job granted %d workers, want 1", res.Workers)
+	}
+	if inUse := s2.Stats().WorkersInUse; inUse > 2 {
+		t.Fatalf("workersInUse = %d exceeds the budget of 2", inUse)
+	}
+	pb.Cancel()
+	<-pb.Done()
+	if inUse := s2.Stats().WorkersInUse; inUse != 0 {
+		t.Fatalf("workersInUse = %d on an idle scheduler, want 0", inUse)
+	}
 }
 
 // TestProgressSampling: a running job exposes live progress through its
